@@ -38,7 +38,7 @@ race:
 # After an intentional performance change, refresh the baseline with
 # `make bench-record` and commit it. docs/perf.md explains the budgets.
 BENCH_BASELINE ?= BENCH_PR10.json
-ZERO_ALLOC_BENCHES ?= BenchmarkMonitorTick,BenchmarkAdaptiveTick,BenchmarkWireEncodeDecode,BenchmarkWireV4EncodeDecode
+ZERO_ALLOC_BENCHES ?= BenchmarkMonitorTick,BenchmarkAdaptiveTick,BenchmarkWireEncodeDecode
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem . | tee bench.out
 	$(GO) run ./cmd/zsbench -zero-alloc $(ZERO_ALLOC_BENCHES) bench.out

@@ -58,11 +58,6 @@ type AgentConfig struct {
 	MaxBackoff  time.Duration
 	// DisableGzip ships batches uncompressed.
 	DisableGzip bool
-	// WireVersion pins the batch framing version this agent emits, for
-	// fleets mid-upgrade (and the mixed-version soaks). 0 means the current
-	// WireVersion; anything outside [MinWireVersion, WireVersion] is a
-	// NewAgent error.
-	WireVersion uint8
 	// Client overrides the HTTP client (default: 5 s timeout).
 	Client *http.Client
 	// Obs, when non-nil, records one StageExport span per shipment.
@@ -106,9 +101,6 @@ func (c AgentConfig) withDefaults() AgentConfig {
 	}
 	if c.Now == nil {
 		c.Now = time.Now
-	}
-	if c.WireVersion == 0 {
-		c.WireVersion = WireVersion
 	}
 	return c
 }
@@ -189,10 +181,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	if cfg.Job == "" {
 		return nil, fmt.Errorf("aggd: AgentConfig.Job is required")
-	}
-	if cfg.WireVersion < MinWireVersion || cfg.WireVersion > WireVersion {
-		return nil, fmt.Errorf("aggd: AgentConfig.WireVersion %d unsupported (want %d..%d)",
-			cfg.WireVersion, MinWireVersion, WireVersion)
 	}
 	// Seed the backoff jitter from the stream identity so replaying a run
 	// replays the same delays; the exact values only need to differ across
@@ -344,7 +332,7 @@ func (a *Agent) ship(events []export.Event) {
 		Seq:    a.seq,
 		Events: events,
 	}
-	frame, err := AppendBatchFrameVersion(a.frameBuf[:0], &b, a.cfg.WireVersion)
+	frame, err := AppendBatchFrame(a.frameBuf[:0], &b)
 	if err != nil { // unencodable events: drop, nothing to retry
 		a.sendDrops.Add(uint64(len(events)))
 		a.cfg.Obs.RecordError(obs.StageExport)

@@ -61,51 +61,50 @@ func TestServerDedupAndRecovery(t *testing.T) {
 }
 
 // TestServerIngestPartialBody checks the resync contract end to end: a body
-// holding [good frame, corrupt frame, good frame] applies both healthy
-// frames, counts the corruption, and still returns 400 so the sender retries
-// (the retry dedups as a replay rather than double-counting).
+// holding [good frame, bad frame, good frame] applies both healthy frames,
+// counts the damage, merges nothing from the bad frame, and still returns
+// 400 so the sender retries (the retry dedups as a replay rather than
+// double-counting). A well-formed frame stamped with a foreign wire version
+// is damage exactly like a failed checksum.
 func TestServerIngestPartialBody(t *testing.T) {
-	srv := NewServer(ServerConfig{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	frame := func(seq uint64, n int) []byte {
+		f, err := EncodeBatchFrame(mkBatch(1, seq, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f0, f1, mid := frame(0, 3), frame(1, 3), frame(2, 5)
+	flipped := append([]byte(nil), mid...)
+	flipped[len(flipped)-1] ^= 0xff
+	for name, bad := range map[string][]byte{
+		"checksum":       flipped,
+		"version-2":      stampVersion(mid, 2),
+		"version-3":      stampVersion(mid, 3),
+		"version-future": stampVersion(mid, WireVersion+1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := NewServer(ServerConfig{})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	f0, err := EncodeBatchFrame(mkBatch(1, 0, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, err := EncodeBatchFrame(mkBatch(1, 1, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), f0...)
-	bad[len(bad)-1] ^= 0xff // corrupt the middle frame's payload
+			if resp := postFrames(t, ts.URL, false, f0, bad, f1); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("partial body status = %d, want 400", resp.StatusCode)
+			}
+			st := srv.Stats()
+			if st.IngestEvents != 6 || st.IngestBatches != 2 || st.CorruptFrames != 1 || st.IngestErrors != 1 {
+				t.Fatalf("partial apply: %+v", st)
+			}
 
-	body := append(append(append([]byte(nil), f0...), bad...), f1...)
-	resp, err := http.Post(ts.URL+"/api/ingest", "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("partial body status = %d, want 400", resp.StatusCode)
-	}
-	st := srv.Stats()
-	if st.IngestEvents != 6 || st.CorruptFrames != 1 {
-		t.Fatalf("partial apply: %+v", st)
-	}
-
-	// The sender retries the whole body verbatim: the two healthy frames
-	// dedup, the corrupt one is counted again, nothing double-merges.
-	resp, err = http.Post(ts.URL+"/api/ingest", "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	st = srv.Stats()
-	if st.IngestEvents != 6 || st.DupBatches != 2 || st.CorruptFrames != 2 {
-		t.Fatalf("after verbatim retry: %+v", st)
+			// The sender retries the whole body verbatim: the two healthy
+			// frames dedup, the bad one is counted again, nothing
+			// double-merges.
+			postFrames(t, ts.URL, false, f0, bad, f1)
+			st = srv.Stats()
+			if st.IngestEvents != 6 || st.DupBatches != 2 || st.CorruptFrames != 2 {
+				t.Fatalf("after verbatim retry: %+v", st)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // fuzzSeedFrames builds a representative set of well-formed frames plus a
 // few near-miss mutations so the fuzzer starts inside the interesting part
 // of the input space instead of hammering the magic check.
-func fuzzSeedFrames(t interface{ Fatalf(string, ...any) }) [][]byte {
+func fuzzSeedFrames(t testing.TB) map[string][]byte {
 	batch := &Batch{
 		Origin: Origin{Job: "fuzz", Node: "n00", Rank: 3},
 		Epoch:  2,
@@ -62,18 +62,12 @@ func fuzzSeedFrames(t interface{ Fatalf(string, ...any) }) [][]byte {
 	}
 	multiJob := append(append(append([]byte(nil), bf...), pf...), sf...)
 
-	// The rolling-upgrade states: the same batch framed at each supported
-	// version, and all three concatenated in one body.
-	v3f, err := AppendBatchFrameVersion(nil, batch, 3)
-	if err != nil {
-		t.Fatalf("seed v3 batch: %v", err)
-	}
-	batch.Events = batch.Events[:2] // heartbeat + LWP: the kinds a v2 agent ships
-	v2f, err := AppendBatchFrameVersion(nil, batch, 2)
-	if err != nil {
-		t.Fatalf("seed v2 batch: %v", err)
-	}
-	mixedVers := append(append(append([]byte(nil), v2f...), v3f...), bf...)
+	// Foreign wire versions — must be rejected, must not panic: a genuine
+	// v2 frame, a healthy frame stamped with the next version, and a
+	// CRC-valid foreign frame the scanner has to resync through to reach
+	// the healthy frames after it.
+	future := stampVersion(bf, WireVersion+1)
+	foreignBetween := append(append(append([]byte(nil), bf...), stampVersion(pf, 3)...), sf...)
 
 	// Hostile v4 payloads with valid CRCs, so they reach the batch decoder:
 	// a dictionary count the bytes cannot hold, a non-minimal varint, and an
@@ -90,15 +84,28 @@ func fuzzSeedFrames(t interface{ Fatalf(string, ...any) }) [][]byte {
 		0,      // time delta 0
 	}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01)) // tid zigzag delta = max uint64
 
-	return [][]byte{bf, sf, truncated, flipped, withGarbage, backToBack,
-		multiJob, v2f, v3f, mixedVers, truncDict, nonMinimal, overflow}
+	return map[string][]byte{
+		"seed_batch":           bf,
+		"seed_snapshot":        sf,
+		"seed_truncated":       truncated,
+		"seed_bitflip":         flipped,
+		"seed_garbage_prefix":  withGarbage,
+		"seed_back_to_back":    backToBack,
+		"seed_multi_job":       multiJob,
+		"seed_legacy_v2":       []byte(legacyV2Frame),
+		"seed_future_version":  future,
+		"seed_foreign_between": foreignBetween,
+		"seed_trunc_dict":      truncDict,
+		"seed_non_minimal":     nonMinimal,
+		"seed_overflow":        overflow,
+	}
 }
 
-// v4Frame wraps a raw v4 batch payload in a valid frame (correct magic,
+// v4Frame wraps a raw batch payload in a valid frame (correct magic,
 // version, length, CRC), so fuzz seeds exercise the payload decoder rather
 // than dying at the checksum.
-func v4Frame(t interface{ Fatalf(string, ...any) }, payload []byte) []byte {
-	dst := appendHeader(nil, FrameBatch, WireVersion)
+func v4Frame(t testing.TB, payload []byte) []byte {
+	dst := appendHeader(nil, FrameBatch)
 	dst = append(dst, payload...)
 	frame, err := finishFrame(dst)
 	if err != nil {
@@ -107,10 +114,11 @@ func v4Frame(t interface{ Fatalf(string, ...any) }, payload []byte) []byte {
 	return frame
 }
 
-// FuzzWireDecode throws arbitrary bytes at the frame reader, the payload
-// decoders, and the resyncing scanner. Invariants: no panic, the scanner
-// always terminates, and any frame that decodes cleanly re-encodes to the
-// exact bytes that were consumed (wire canonical form).
+// FuzzWireDecode throws arbitrary bytes at the resyncing scanner and the
+// payload decoders. Invariants: no panic, the scanner always terminates and
+// accounts for every byte it passes, and any batch frame that decodes
+// cleanly re-encodes to the exact bytes that were consumed (wire canonical
+// form).
 func FuzzWireDecode(f *testing.F) {
 	for _, seed := range fuzzSeedFrames(f) {
 		f.Add(seed)
@@ -119,36 +127,33 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte("ZSAG"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, ver, payload, err := ReadFrame(bytes.NewReader(data))
-		if err == nil {
-			switch kind {
-			case FrameBatch:
-				// Canonical-form check only holds for current-version frames:
-				// a v2 batch re-encodes as v3 (one stalled byte per LWP event),
-				// so compatibility frames are only required not to panic.
-				if b, err := DecodeBatchPayloadVersionInto(payload, ver, new(BatchBuf)); err == nil && ver == WireVersion {
-					re, err := EncodeBatchFrame(b)
-					if err != nil {
-						t.Fatalf("decoded batch failed to re-encode: %v", err)
-					}
-					if consumed := data[:frameHeaderLen+len(payload)]; !bytes.Equal(re, consumed) {
-						t.Fatalf("batch round-trip not canonical:\n in  %x\n out %x", consumed, re)
-					}
-				}
-			case FrameSnapshot:
-				_, _ = DecodeSnapshotPayload(payload)
-			}
-		}
-
 		// The scanner must make progress through any input: each Next call
 		// either yields a frame, reports a corrupt run, or ends the stream.
+		// off tracks where in data the scanner stands.
 		sc := NewFrameScanner(bytes.NewReader(data))
+		off := 0
 		for steps := 0; ; steps++ {
 			if steps > len(data)+16 {
 				t.Fatalf("scanner failed to terminate on %d-byte input", len(data))
 			}
-			_, _, err := sc.Next()
+			kind, payload, err := sc.Next()
 			if err == nil {
+				consumed := data[off : off+frameHeaderLen+len(payload)]
+				off += len(consumed)
+				switch kind {
+				case FrameBatch:
+					if b, err := DecodeBatchPayloadInto(payload, new(BatchBuf)); err == nil {
+						re, err := EncodeBatchFrame(b)
+						if err != nil {
+							t.Fatalf("decoded batch failed to re-encode: %v", err)
+						}
+						if !bytes.Equal(re, consumed) {
+							t.Fatalf("batch round-trip not canonical:\n in  %x\n out %x", consumed, re)
+						}
+					}
+				case FrameSnapshot:
+					_, _ = DecodeSnapshotPayload(payload)
+				}
 				continue
 			}
 			if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -159,6 +164,7 @@ func FuzzWireDecode(f *testing.F) {
 				if ce.Skipped == 0 {
 					t.Fatalf("corrupt-frame report skipped zero bytes: %v", ce)
 				}
+				off += ce.Skipped
 				continue
 			}
 			break // terminal transport error (truncation mid-frame)

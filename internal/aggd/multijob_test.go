@@ -16,7 +16,7 @@ import (
 // rank, epoch, sequence, and every LWP TID — is identical across jobs.
 // Only the job name and the sample magnitudes differ, so any state keyed
 // without the job dimension merges two jobs' streams.
-func multiJobBatch(t *testing.T, job string, seq uint64, scale float64, ver uint8) []byte {
+func multiJobBatch(t *testing.T, job string, seq uint64, scale float64) []byte {
 	t.Helper()
 	b := &Batch{
 		Origin: Origin{Job: job, Node: "n00", Rank: 0},
@@ -32,7 +32,7 @@ func multiJobBatch(t *testing.T, job string, seq uint64, scale float64, ver uint
 			}},
 		},
 	}
-	frame, err := AppendBatchFrameVersion(nil, b, ver)
+	frame, err := EncodeBatchFrame(b)
 	if err != nil {
 		t.Fatalf("job %s batch: %v", job, err)
 	}
@@ -52,20 +52,18 @@ func multiJobSnapshot(job string, pct float64) core.Snapshot {
 
 // TestMultiJobIsolation posts two jobs whose streams collide on every
 // non-job identity dimension — same node, rank 0, epoch 1, the same
-// sequence numbers, the same TIDs — into one aggregator, across the
-// supported wire versions and both content encodings, and asserts nothing
+// sequence numbers, the same TIDs — into one aggregator, across both
+// content encodings, and asserts nothing
 // merges: per-job event and snapshot censuses, batch dedup state, served
 // summaries and heatmaps, TSDB sample counts, and the Prometheus export
 // must each stay per-job exact.
 func TestMultiJobIsolation(t *testing.T) {
 	cases := []struct {
-		name       string
-		verA, verB uint8
-		gzip       bool
+		name string
+		gzip bool
 	}{
-		{"current-version", WireVersion, WireVersion, false},
-		{"mixed-versions", MinWireVersion, WireVersion, false},
-		{"gzip-interleaved", WireVersion, WireVersion, true},
+		{"current-version", false},
+		{"gzip-interleaved", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,15 +76,15 @@ func TestMultiJobIsolation(t *testing.T) {
 			// the FrameScanner walks job-alpha and job-beta frames back to
 			// back, the way a leaf sees them arrive from a shared socket.
 			for seq := uint64(1); seq <= batches; seq++ {
-				a := multiJobBatch(t, "alpha", seq, 1.0, tc.verA)
-				b := multiJobBatch(t, "beta", seq, 0.5, tc.verB)
+				a := multiJobBatch(t, "alpha", seq, 1.0)
+				b := multiJobBatch(t, "beta", seq, 0.5)
 				if resp := postFrames(t, ts.URL, tc.gzip, a, b); resp.StatusCode != http.StatusNoContent {
 					t.Fatalf("seq %d: %s", seq, resp.Status)
 				}
 			}
 			// Replaying alpha's last batch must be deduped for alpha without
 			// consuming beta's identical (epoch, seq) slot.
-			replay := multiJobBatch(t, "alpha", batches, 1.0, tc.verA)
+			replay := multiJobBatch(t, "alpha", batches, 1.0)
 			if resp := postFrames(t, ts.URL, tc.gzip, replay); resp.StatusCode != http.StatusNoContent {
 				t.Fatalf("replay: %s", resp.Status)
 			}
@@ -184,8 +182,8 @@ func TestMultiJobQueryIsolation(t *testing.T) {
 
 	const batches = 4
 	for seq := uint64(1); seq <= batches; seq++ {
-		a := multiJobBatch(t, "alpha", seq, 1.0, WireVersion)
-		b := multiJobBatch(t, "beta", seq, 0.5, WireVersion)
+		a := multiJobBatch(t, "alpha", seq, 1.0)
+		b := multiJobBatch(t, "beta", seq, 0.5)
 		if resp := postFrames(t, ts.URL, false, a, b); resp.StatusCode != http.StatusNoContent {
 			t.Fatalf("seq %d: %s", seq, resp.Status)
 		}

@@ -8,10 +8,9 @@ import (
 // Rollup frames are the tree's upstream wire format: a leaf aggregator
 // admits agent batches (running the usual per-origin dedup), buffers the
 // admitted events, and ships them to its parent pre-merged as one rollup
-// frame per flush. The frame rides the existing ZSAG framing with its own
-// kind byte (FrameRollup, introduced with wire version 3), so leaves and
-// roots share one ingest endpoint and the resyncing FrameScanner skips
-// corrupt rollups exactly like corrupt batches.
+// frame per flush. The frame rides the ZSAG framing with its own kind byte
+// (FrameRollup), so leaves and roots share one ingest endpoint and the
+// resyncing FrameScanner skips corrupt rollups exactly like corrupt batches.
 //
 // Rollup payload layout (little endian, after the 14-byte frame header):
 //
@@ -19,8 +18,7 @@ import (
 //	leafEpoch uint64 — incarnation of the leaf process
 //	seq       uint64 — rollup sequence within the epoch, 0,1,2,…
 //	nBatches  uint32
-//	  nBatches × { len uint32, batch payload (the FrameBatch encoding,
-//	               same wire version as the rollup frame) }
+//	  nBatches × { len uint32, batch payload (the FrameBatch encoding) }
 //	nSnaps    uint32
 //	  nSnaps × { len uint32, SnapshotMsg JSON (the FrameSnapshot payload) }
 //
@@ -49,14 +47,12 @@ const minRollupPayload = 2 + 8 + 8 + 4 + 4
 
 // AppendRollupFrame appends the framed encoding of ru to dst and returns
 // the extended slice, so a forwarder can reuse one scratch buffer per
-// flush. The embedded batches are encoded with the current wire version
-// (a leaf re-encodes whatever version its agents sent, which is how a v2
-// batch crosses a v3 tree).
+// flush.
 //
 //zerosum:wire-encode rollup
 func AppendRollupFrame(dst []byte, ru *RollupMsg) ([]byte, error) {
 	start := len(dst)
-	dst = appendHeader(dst, FrameRollup, WireVersion)
+	dst = appendHeader(dst, FrameRollup)
 	var err error
 	if dst, err = appendString(dst, ru.LeafID); err != nil {
 		return nil, err
@@ -70,7 +66,7 @@ func AppendRollupFrame(dst []byte, ru *RollupMsg) ([]byte, error) {
 		lenAt := len(dst)
 		dst = binary.LittleEndian.AppendUint32(dst, 0)
 		bodyAt := len(dst)
-		if dst, err = appendBatchPayloadVersion(dst, &ru.Batches[i], WireVersion); err != nil {
+		if dst, err = appendBatchPayloadV4(dst, &ru.Batches[i]); err != nil {
 			return nil, err
 		}
 		binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-bodyAt))
@@ -113,16 +109,13 @@ type rollupView struct {
 // proportion to them.
 //
 //zerosum:wire-decode rollup
-func walkRollupPayload(payload []byte, ver uint8, view *rollupView) error {
-	if ver < 3 {
-		return fmt.Errorf("aggd: rollup frame with wire version %d (introduced in 3)", ver)
-	}
+func walkRollupPayload(payload []byte, view *rollupView) error {
 	if len(payload) < minRollupPayload {
 		return fmt.Errorf("aggd: rollup payload of %d bytes too short", len(payload))
 	}
 	view.batches = view.batches[:0]
 	view.snaps = view.snaps[:0]
-	d := &decoder{buf: payload, ver: ver}
+	d := &decoder{buf: payload}
 	var err error
 	if view.leafID, err = d.str(); err != nil {
 		return err
@@ -138,10 +131,9 @@ func walkRollupPayload(payload []byte, ver uint8, view *rollupView) error {
 		return err
 	}
 	// Every embedded batch costs at least its length prefix plus the
-	// minimal batch payload — since wire v4 that is the varint form (a
-	// one-entry dictionary holding the empty string, two refs, rank, epoch,
-	// seq, count: 8 bytes) — so a count the remaining bytes cannot hold is
-	// rejected before it sizes anything.
+	// minimal batch payload (a one-entry dictionary holding the empty
+	// string, two refs, rank, epoch, seq, count: 8 bytes), so a count the
+	// remaining bytes cannot hold is rejected before it sizes anything.
 	const minEmbeddedBatch = 4 + 8
 	if int64(nb)*minEmbeddedBatch > int64(len(payload)-d.off) {
 		return fmt.Errorf("aggd: rollup claims %d batches in %d bytes", nb, len(payload)-d.off)
@@ -174,22 +166,26 @@ func walkRollupPayload(payload []byte, ver uint8, view *rollupView) error {
 	return nil
 }
 
-// DecodeRollupPayload parses a rollup payload framed with wire version ver
-// into an independently owned RollupMsg: every embedded batch decodes into
-// its own arena and every snapshot into its own document. The ingest path
-// does not use this (it walks the structure and applies sub-payloads
-// through the pooled arenas instead); it exists for tests, tooling, and
-// the fuzz target's canonicality check.
+// DecodeRollupPayload parses a rollup payload into an independently owned
+// RollupMsg: every embedded batch decodes into its own arena and every
+// snapshot into its own document. ver is the version byte of the frame the
+// payload came in and must be WireVersion. The ingest path does not use
+// this (it walks the structure and applies sub-payloads through the pooled
+// arenas instead); it exists for tests, tooling, and the fuzz target's
+// canonicality check.
 //
 //zerosum:wire-decode rollup
 func DecodeRollupPayload(payload []byte, ver uint8) (*RollupMsg, error) {
+	if ver != WireVersion {
+		return nil, fmt.Errorf("aggd: rollup payload of wire version %d (want %d)", ver, WireVersion)
+	}
 	var view rollupView
-	if err := walkRollupPayload(payload, ver, &view); err != nil {
+	if err := walkRollupPayload(payload, &view); err != nil {
 		return nil, err
 	}
 	ru := &RollupMsg{LeafID: view.leafID, LeafEpoch: view.leafEpoch, Seq: view.seq}
 	for i, body := range view.batches {
-		b, err := DecodeBatchPayloadVersionInto(body, ver, new(BatchBuf))
+		b, err := DecodeBatchPayloadInto(body, new(BatchBuf))
 		if err != nil {
 			return nil, fmt.Errorf("aggd: rollup batch %d: %w", i, err)
 		}

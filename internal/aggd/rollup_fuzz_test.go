@@ -9,12 +9,10 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
-
-	"zerosum/internal/export"
 )
 
 // rollupFuzzSeeds builds the seed corpus for FuzzRollupFrameDecode: healthy
-// rollup frames, a mixed v2/v3/rollup stream, and near-miss damage so the
+// rollup frames, a mixed batch/rollup stream, and near-miss damage so the
 // fuzzer starts past the magic and CRC checks.
 func rollupFuzzSeeds(t testing.TB) map[string][]byte {
 	full := &RollupMsg{
@@ -40,31 +38,27 @@ func rollupFuzzSeeds(t testing.TB) map[string][]byte {
 		t.Fatalf("seed empty rollup: %v", err)
 	}
 
-	// A mixed stream the resyncing scanner must survive: v2 batch, rollup,
-	// torn-write garbage, v3 batch, then a bit-flipped rollup.
-	b2 := Batch{Origin: Origin{Job: "jr", Node: "n02", Rank: 2}, Epoch: 1, Seq: 0,
-		Events: []export.Event{
-			{Kind: export.EventLWP, TimeSec: 1, LWP: &export.LWPSample{TID: 9, Kind: "Main", State: 'R', UserPct: 70}},
-		}}
-	v2 := v2BatchFrame(t, &b2)
+	// A mixed stream the resyncing scanner must survive: a foreign-version
+	// (v2) batch, rollup, torn-write garbage, batch, then a bit-flipped
+	// rollup.
 	b3 := mkRollupBatch("n03", 3, 1, 0, 2)
-	v3, err := EncodeBatchFrame(&b3)
+	bf, err := EncodeBatchFrame(&b3)
 	if err != nil {
-		t.Fatalf("seed v3 batch: %v", err)
+		t.Fatalf("seed batch: %v", err)
 	}
 	flipped := append([]byte(nil), rf...)
 	flipped[len(flipped)-5] ^= 0x10
 	var mixed []byte
-	mixed = append(mixed, v2...)
+	mixed = append(mixed, legacyV2Frame...)
 	mixed = append(mixed, rf...)
 	mixed = append(mixed, []byte("torn-write-residue")...)
-	mixed = append(mixed, v3...)
+	mixed = append(mixed, bf...)
 	mixed = append(mixed, flipped...)
 
 	// A frame whose CRC is valid but whose batch count could never fit the
 	// remaining bytes: the structural walk must reject it before sizing
 	// anything from the count.
-	dst := appendHeader(nil, FrameRollup, WireVersion)
+	dst := appendHeader(nil, FrameRollup)
 	if dst, err = appendString(dst, "evil"); err != nil {
 		t.Fatalf("seed hostile: %v", err)
 	}
@@ -86,11 +80,10 @@ func rollupFuzzSeeds(t testing.TB) map[string][]byte {
 	}
 }
 
-// FuzzRollupFrameDecode throws arbitrary bytes at the rollup structural
-// walk, the full decoder, and the resyncing scanner's rollup path.
-// Invariants: no panic, walk and decode agree on structural validity, a
-// cleanly decoded rollup re-encodes into a frame that decodes back to the
-// same structure, and the scanner terminates on every input.
+// FuzzRollupFrameDecode throws arbitrary bytes at the resyncing scanner's
+// rollup path: the structural walk and the full decoder. Invariants: no
+// panic, the scanner terminates on every input, and every rollup payload
+// it yields passes checkRollupPayload.
 func FuzzRollupFrameDecode(f *testing.F) {
 	for _, seed := range rollupFuzzSeeds(f) {
 		f.Add(seed)
@@ -99,46 +92,9 @@ func FuzzRollupFrameDecode(f *testing.F) {
 	f.Add([]byte("ZSAG"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, ver, payload, err := ReadFrame(bytes.NewReader(data))
-		if err == nil && kind == FrameRollup {
-			var view rollupView
-			walkErr := walkRollupPayload(payload, ver, &view)
-			ru, decErr := DecodeRollupPayload(payload, ver)
-			if walkErr != nil && decErr == nil {
-				t.Fatalf("walk rejected what the decoder accepted: %v", walkErr)
-			}
-			if walkErr == nil && len(view.batches)+len(view.snaps) > 0 && len(payload) < minRollupPayload {
-				t.Fatalf("walk accepted an impossible %d-byte payload", len(payload))
-			}
-			if decErr == nil {
-				re, err := EncodeRollupFrame(ru)
-				if err != nil {
-					t.Fatalf("decoded rollup failed to re-encode: %v", err)
-				}
-				// Embedded snapshot JSON is not byte-canonical (a fuzzed body
-				// may order keys differently), so the invariant is structural:
-				// the re-encoded frame decodes back to the same shape.
-				ru2, err := DecodeRollupPayload(re[frameHeaderLen:], WireVersion)
-				if err != nil {
-					t.Fatalf("re-encoded rollup failed to decode: %v", err)
-				}
-				if ru2.LeafID != ru.LeafID || ru2.LeafEpoch != ru.LeafEpoch || ru2.Seq != ru.Seq ||
-					len(ru2.Batches) != len(ru.Batches) || len(ru2.Snapshots) != len(ru.Snapshots) {
-					t.Fatalf("rollup round-trip changed shape: %+v vs %+v", ru, ru2)
-				}
-				for i := range ru.Batches {
-					if ru2.Batches[i].Origin != ru.Batches[i].Origin ||
-						len(ru2.Batches[i].Events) != len(ru.Batches[i].Events) {
-						t.Fatalf("rollup round-trip changed batch %d", i)
-					}
-				}
-			}
-		}
-
-		// The ingest path: scan the input as a stream, walking every rollup
+		// The ingest path: scan the input as a stream, checking every rollup
 		// frame that survives its CRC. Must terminate and never panic.
 		sc := NewFrameScanner(bytes.NewReader(data))
-		var view rollupView
 		for steps := 0; ; steps++ {
 			if steps > len(data)+16 {
 				t.Fatalf("scanner failed to terminate on %d-byte input", len(data))
@@ -146,7 +102,7 @@ func FuzzRollupFrameDecode(f *testing.F) {
 			kind, payload, err := sc.Next()
 			if err == nil {
 				if kind == FrameRollup {
-					_ = walkRollupPayload(payload, sc.Version(), &view)
+					checkRollupPayload(t, payload)
 				}
 				continue
 			}
@@ -162,13 +118,60 @@ func FuzzRollupFrameDecode(f *testing.F) {
 	})
 }
 
-// TestRollupFuzzSeedCorpus pins the checked-in corpus, reusing the golden
-// files' -update flag: the bytes on disk must match what today's encoder
-// produces, so a wire-layout change that silently invalidates the corpus
-// fails here first.
+// checkRollupPayload holds one CRC-clean rollup payload to the fuzz
+// invariants: walk and decode agree on structural validity, and a cleanly
+// decoded rollup re-encodes into a frame that decodes back to the same
+// structure.
+func checkRollupPayload(t *testing.T, payload []byte) {
+	var view rollupView
+	walkErr := walkRollupPayload(payload, &view)
+	ru, decErr := DecodeRollupPayload(payload, WireVersion)
+	if walkErr != nil && decErr == nil {
+		t.Fatalf("walk rejected what the decoder accepted: %v", walkErr)
+	}
+	if walkErr == nil && len(view.batches)+len(view.snaps) > 0 && len(payload) < minRollupPayload {
+		t.Fatalf("walk accepted an impossible %d-byte payload", len(payload))
+	}
+	if decErr != nil {
+		return
+	}
+	re, err := EncodeRollupFrame(ru)
+	if err != nil {
+		t.Fatalf("decoded rollup failed to re-encode: %v", err)
+	}
+	// Embedded snapshot JSON is not byte-canonical (a fuzzed body may order
+	// keys differently), so the invariant is structural: the re-encoded
+	// frame decodes back to the same shape.
+	ru2, err := DecodeRollupPayload(re[frameHeaderLen:], WireVersion)
+	if err != nil {
+		t.Fatalf("re-encoded rollup failed to decode: %v", err)
+	}
+	if ru2.LeafID != ru.LeafID || ru2.LeafEpoch != ru.LeafEpoch || ru2.Seq != ru.Seq ||
+		len(ru2.Batches) != len(ru.Batches) || len(ru2.Snapshots) != len(ru.Snapshots) {
+		t.Fatalf("rollup round-trip changed shape: %+v vs %+v", ru, ru2)
+	}
+	for i := range ru.Batches {
+		if ru2.Batches[i].Origin != ru.Batches[i].Origin ||
+			len(ru2.Batches[i].Events) != len(ru.Batches[i].Events) {
+			t.Fatalf("rollup round-trip changed batch %d", i)
+		}
+	}
+}
+
+// TestRollupFuzzSeedCorpus pins both checked-in fuzz corpora (this file's
+// and FuzzWireDecode's), reusing the golden files' -update flag: the bytes
+// on disk must match what today's encoder produces, so a wire-layout change
+// that silently invalidates a corpus fails here first.
 func TestRollupFuzzSeedCorpus(t *testing.T) {
-	seeds := rollupFuzzSeeds(t)
-	dir := filepath.Join("testdata", "fuzz", "FuzzRollupFrameDecode")
+	for target, gen := range map[string]func(testing.TB) map[string][]byte{
+		"FuzzRollupFrameDecode": rollupFuzzSeeds,
+		"FuzzWireDecode":        fuzzSeedFrames,
+	} {
+		checkFuzzSeedCorpus(t, filepath.Join("testdata", "fuzz", target), gen(t))
+	}
+}
+
+func checkFuzzSeedCorpus(t *testing.T, dir string, seeds map[string][]byte) {
 	if *update {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
@@ -187,10 +190,10 @@ func TestRollupFuzzSeedCorpus(t *testing.T) {
 		}
 		got, err := parseRollupCorpusFile(raw)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s/%s: %v", dir, name, err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("%s: checked-in corpus drifted from the generator (run with -update)", name)
+			t.Errorf("%s/%s: checked-in corpus drifted from the generator (run with -update)", dir, name)
 		}
 	}
 }

@@ -46,14 +46,11 @@ func TestRollupRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kind, ver, payload, err := ReadFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
+	kind, payload := readOneFrame(t, frame)
+	if kind != FrameRollup {
+		t.Fatalf("frame kind %d, want rollup", kind)
 	}
-	if kind != FrameRollup || ver != WireVersion {
-		t.Fatalf("frame (kind %d, ver %d), want (rollup, %d)", kind, ver, WireVersion)
-	}
-	got, err := DecodeRollupPayload(payload, ver)
+	got, err := DecodeRollupPayload(payload, WireVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,21 +88,23 @@ func TestRollupWalkRejects(t *testing.T) {
 	payload := append([]byte(nil), frame[frameHeaderLen:]...)
 	var view rollupView
 
-	if err := walkRollupPayload(payload, 2, &view); err == nil {
-		t.Fatal("wire version 2 rollup accepted; FrameRollup needs ver >= 3")
+	for _, ver := range []uint8{3, WireVersion + 1} {
+		if _, err := DecodeRollupPayload(payload, ver); err == nil {
+			t.Fatalf("rollup payload of wire version %d accepted", ver)
+		}
 	}
-	if err := walkRollupPayload(payload, WireVersion, &view); err != nil {
+	if err := walkRollupPayload(payload, &view); err != nil {
 		t.Fatalf("pristine payload rejected: %v", err)
 	}
 	// Every truncation point must fail the structural walk — never panic,
 	// never accept a partial structure.
 	for cut := 0; cut < len(payload); cut++ {
-		if err := walkRollupPayload(payload[:cut], WireVersion, &view); err == nil {
+		if err := walkRollupPayload(payload[:cut], &view); err == nil {
 			t.Fatalf("payload truncated to %d/%d bytes accepted", cut, len(payload))
 		}
 	}
 	// Trailing garbage after a well-formed structure is damage, not slack.
-	if err := walkRollupPayload(append(append([]byte(nil), payload...), 0xEE), WireVersion, &view); err == nil {
+	if err := walkRollupPayload(append(append([]byte(nil), payload...), 0xEE), &view); err == nil {
 		t.Fatal("trailing byte after rollup accepted")
 	}
 	// A hostile batch count larger than the remaining bytes could ever hold
@@ -113,31 +112,32 @@ func TestRollupWalkRejects(t *testing.T) {
 	// leafID (2+4 bytes here) + epoch + seq.
 	hostile := append([]byte(nil), payload...)
 	binary.LittleEndian.PutUint32(hostile[2+4+8+8:], 0xFFFFFFFF)
-	if err := walkRollupPayload(hostile, WireVersion, &view); err == nil {
+	if err := walkRollupPayload(hostile, &view); err == nil {
 		t.Fatal("hostile batch count accepted")
 	}
 	// Same for the snapshot count, which trails the embedded batches.
 	hostile = append([]byte(nil), payload...)
 	binary.LittleEndian.PutUint32(hostile[len(hostile)-4:], 0xFFFFFFFF)
-	if err := walkRollupPayload(hostile, WireVersion, &view); err == nil {
+	if err := walkRollupPayload(hostile, &view); err == nil {
 		t.Fatal("hostile snapshot count accepted")
 	}
 }
 
-// TestRollupScannerMixedStream feeds one body holding a v2 batch frame, a v3
-// batch frame, a rollup frame, inter-frame garbage, and a corrupted rollup
-// through the resyncing scanner: every healthy frame comes out, the damage
-// is reported, and the stream never desynchronizes.
+// TestRollupScannerMixedStream feeds one body holding two batch frames, a
+// rollup frame, a foreign-version (v2) frame, inter-frame garbage, and a
+// corrupted rollup through the resyncing scanner: every healthy frame comes
+// out, the damage is reported, and the stream never desynchronizes.
 func TestRollupScannerMixedStream(t *testing.T) {
-	// The v2 encoding predates most event kinds; LWP samples are its bread
-	// and butter, so the back-compat frame carries those.
 	b2 := Batch{Origin: Origin{Job: "jr", Node: "n2", Rank: 2}, Epoch: 1, Seq: 0}
 	for i := 0; i < 3; i++ {
 		b2.Events = append(b2.Events, lwpEvent(float64(i), 100+i, uint64(i)))
 	}
-	v2 := v2BatchFrame(t, &b2)
+	f2, err := EncodeBatchFrame(&b2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b3 := mkRollupBatch("n3", 3, 1, 0, 2)
-	v3, err := EncodeBatchFrame(&b3)
+	f3, err := EncodeBatchFrame(&b3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,12 @@ func TestRollupScannerMixedStream(t *testing.T) {
 	bad[len(bad)-3] ^= 0x40 // payload damage: CRC must catch it
 
 	var stream bytes.Buffer
-	stream.Write(v2)
+	stream.Write(f2)
+	stream.WriteString(legacyV2Frame)
 	stream.Write([]byte("!!!noise!!!"))
 	stream.Write(ru)
 	stream.Write(bad)
-	stream.Write(v3)
+	stream.Write(f3)
 
 	sc := NewFrameScanner(&stream)
 	var kinds []FrameKind
@@ -167,7 +168,7 @@ func TestRollupScannerMixedStream(t *testing.T) {
 		kinds = append(kinds, kind)
 		if kind == FrameRollup {
 			var view rollupView
-			if err := walkRollupPayload(payload, sc.Version(), &view); err != nil {
+			if err := walkRollupPayload(payload, &view); err != nil {
 				t.Fatalf("healthy rollup failed the walk: %v", err)
 			}
 			if view.leafID != "leaf" || len(view.batches) != 1 {
@@ -261,7 +262,7 @@ func TestServerRollupBadEmbeddedBatch(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	dst := appendHeader(nil, FrameRollup, WireVersion)
+	dst := appendHeader(nil, FrameRollup)
 	dst, err := appendString(dst, "L")
 	if err != nil {
 		t.Fatal(err)

@@ -207,15 +207,7 @@ type rankState struct {
 	lastSampleT float64   //zerosum:guardedby rankShard.mu largest sample timestamp seen
 	events      uint64    //zerosum:guardedby rankShard.mu
 
-	// Sequence accounting. An agent numbers batches 0,1,2,… within one
-	// epoch (incarnation); retries resend the same (epoch, seq). maxSeq is
-	// the highest applied sequence and holes records skipped-over sequence
-	// numbers still outstanding, so a late retry of a gap batch is merged
-	// exactly once while a replay of an already-applied batch is skipped.
-	epoch   uint64          //zerosum:guardedby rankShard.mu
-	maxSeq  uint64          //zerosum:guardedby rankShard.mu
-	seqSeen bool            //zerosum:guardedby rankShard.mu
-	holes   map[uint64]bool //zerosum:guardedby rankShard.mu
+	seq seqWindow //zerosum:guardedby rankShard.mu the agent's (epoch, batch seq) dedup
 
 	hwt     map[int]export.HWTSample //zerosum:guardedby rankShard.mu
 	gpuBusy map[int]float64          //zerosum:guardedby rankShard.mu
@@ -499,7 +491,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		switch kind {
 		case FrameBatch:
-			b, err := DecodeBatchPayloadVersionInto(payload, sc.Version(), bb)
+			b, err := DecodeBatchPayloadInto(payload, bb)
 			if err != nil {
 				corrupt++
 				s.corruptFrames.Add(1)
@@ -523,7 +515,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.applySnapshot(msg)
 			frames++
 		case FrameRollup:
-			if err := s.applyRollup(payload, sc.Version(), bb); err != nil {
+			if err := s.applyRollup(payload, bb); err != nil {
 				corrupt++
 				s.corruptFrames.Add(1)
 				if firstErr == nil {
@@ -550,73 +542,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// maxTrackedHoles bounds the per-stream set of outstanding sequence gaps so
-// a pathological sender cannot grow server memory; beyond the bound, a late
-// retry of an untracked gap counts as a duplicate (data already counted
-// lost), which errs on the side of never double-merging.
-const maxTrackedHoles = 1024
-
-// admitBatch decides whether a batch is new data (true) or a replay that
-// must not be merged again (false), updating the stream's sequence
-// accounting.
-//
-//zerosum:locked rankShard.mu caller holds the rank's shard lock
-func (s *Server) admitBatch(rs *rankState, b *Batch) bool {
-	if !rs.seqSeen || b.Epoch > rs.epoch {
-		// First contact, or the agent restarted into a new incarnation:
-		// sequence numbering starts over. Earlier batches of the new epoch
-		// that were dropped before this one arrived are gaps too.
-		rs.epoch = b.Epoch
-		rs.seqSeen = true
-		rs.maxSeq = b.Seq
-		rs.holes = nil
-		s.noteGap(rs, 0, b.Seq)
-		return true
-	}
-	if b.Epoch < rs.epoch {
-		// Replay from a dead incarnation (e.g. a retry that outlived its
-		// agent's restart): everything it carries was already accounted.
-		s.dupBatches.Add(1)
-		return false
-	}
-	switch {
-	case b.Seq == rs.maxSeq+1:
-		rs.maxSeq = b.Seq
-		return true
-	case b.Seq > rs.maxSeq+1:
-		s.noteGap(rs, rs.maxSeq+1, b.Seq)
-		rs.maxSeq = b.Seq
-		return true
-	default: // b.Seq <= rs.maxSeq: a retry — gap fill or replay?
-		if rs.holes[b.Seq] {
-			delete(rs.holes, b.Seq)
-			s.recoveredBatches.Add(1)
-			return true
-		}
-		s.dupBatches.Add(1)
-		return false
-	}
-}
-
-// noteGap records sequence numbers [lo, hi) as lost-until-proven-otherwise.
-//
-//zerosum:locked rankShard.mu caller holds the rank's shard lock
-func (s *Server) noteGap(rs *rankState, lo, hi uint64) {
-	if hi <= lo {
-		return
-	}
-	s.lostBatches.Add(hi - lo)
-	for q := lo; q < hi; q++ {
-		if len(rs.holes) >= maxTrackedHoles {
-			return
-		}
-		if rs.holes == nil {
-			rs.holes = make(map[uint64]bool)
-		}
-		rs.holes[q] = true
-	}
-}
-
 // applyBatch merges one batch, reporting whether it was admitted as new
 // data (false: a replay or stale-epoch straggler the dedup skipped). On a
 // leaf, admitted batches are also queued for the upstream rollup — under
@@ -630,8 +555,16 @@ func (s *Server) applyBatch(b *Batch) bool {
 	defer sh.mu.Unlock()
 	rs := sh.rank(rankKey{node: b.Node, rank: b.Rank})
 	rs.lastRecv = now // even a replay proves the stream is alive
-	if !s.admitBatch(rs, b) {
+	verdict, gap := rs.seq.admit(b.Epoch, b.Seq)
+	if gap > 0 {
+		s.lostBatches.Add(gap)
+	}
+	switch verdict {
+	case seqDuplicate:
+		s.dupBatches.Add(1)
 		return false
+	case seqRecovered:
+		s.recoveredBatches.Add(1)
 	}
 	if s.fwd != nil {
 		s.fwd.EnqueueBatch(b)
@@ -734,13 +667,12 @@ func (s *Server) applyBatch(b *Batch) bool {
 }
 
 // leafSeq is one downstream leaf's rollup sequence accounting, the same
-// state machine admitBatch runs per origin, one level up: epoch is the
-// leaf process incarnation, seq its rollup counter within the epoch.
+// window applyBatch runs per origin, one level up: epoch is the leaf
+// process incarnation, seq its rollup counter within the epoch (a leaf
+// burns a seq on every flush attempt, so an abandoned shipment shows up as
+// a lost rollup).
 type leafSeq struct {
-	epoch   uint64          //zerosum:guardedby Server.leafMu
-	maxSeq  uint64          //zerosum:guardedby Server.leafMu
-	seqSeen bool            //zerosum:guardedby Server.leafMu
-	holes   map[uint64]bool //zerosum:guardedby Server.leafMu
+	seq seqWindow //zerosum:guardedby Server.leafMu
 }
 
 // admitRollup decides whether a rollup is new data or a replay that must
@@ -756,56 +688,18 @@ func (s *Server) admitRollup(leafID string, epoch, seq uint64) bool {
 		ls = &leafSeq{}
 		s.leafSeqs[leafID] = ls
 	}
-	if !ls.seqSeen || epoch > ls.epoch {
-		ls.epoch = epoch
-		ls.seqSeen = true
-		ls.maxSeq = seq
-		ls.holes = nil
-		s.noteRollupGap(ls, 0, seq)
-		return true
+	verdict, gap := ls.seq.admit(epoch, seq)
+	if gap > 0 {
+		s.lostRollups.Add(gap)
 	}
-	if epoch < ls.epoch {
+	switch verdict {
+	case seqDuplicate:
 		s.dupRollups.Add(1)
 		return false
+	case seqRecovered:
+		s.recoveredRollups.Add(1)
 	}
-	switch {
-	case seq == ls.maxSeq+1:
-		ls.maxSeq = seq
-		return true
-	case seq > ls.maxSeq+1:
-		s.noteRollupGap(ls, ls.maxSeq+1, seq)
-		ls.maxSeq = seq
-		return true
-	default:
-		if ls.holes[seq] {
-			delete(ls.holes, seq)
-			s.recoveredRollups.Add(1)
-			return true
-		}
-		s.dupRollups.Add(1)
-		return false
-	}
-}
-
-// noteRollupGap records rollup sequence numbers [lo, hi) as
-// lost-until-proven-otherwise (a leaf burns a seq on every flush attempt,
-// so an abandoned shipment shows up here).
-//
-//zerosum:locked leafMu caller holds the leaf accounting lock
-func (s *Server) noteRollupGap(ls *leafSeq, lo, hi uint64) {
-	if hi <= lo {
-		return
-	}
-	s.lostRollups.Add(hi - lo)
-	for q := lo; q < hi; q++ {
-		if len(ls.holes) >= maxTrackedHoles {
-			return
-		}
-		if ls.holes == nil {
-			ls.holes = make(map[uint64]bool)
-		}
-		ls.holes[q] = true
-	}
+	return true
 }
 
 // applyRollup validates and merges one rollup frame. The structure is
@@ -817,9 +711,9 @@ func (s *Server) noteRollupGap(ls *leafSeq, lo, hi uint64) {
 // passing its CRC (an encoder bug, not line damage) is skipped and
 // surfaces as the request's error while the rest of the rollup still
 // merges.
-func (s *Server) applyRollup(payload []byte, ver uint8, bb *BatchBuf) error {
+func (s *Server) applyRollup(payload []byte, bb *BatchBuf) error {
 	var view rollupView
-	if err := walkRollupPayload(payload, ver, &view); err != nil {
+	if err := walkRollupPayload(payload, &view); err != nil {
 		return err
 	}
 	s.rollupFrames.Add(1)
@@ -828,7 +722,7 @@ func (s *Server) applyRollup(payload []byte, ver uint8, bb *BatchBuf) error {
 	}
 	var firstErr error
 	for i, body := range view.batches {
-		b, err := DecodeBatchPayloadVersionInto(body, ver, bb)
+		b, err := DecodeBatchPayloadInto(body, bb)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("aggd: rollup batch %d: %w", i, err)

@@ -314,53 +314,3 @@ func checkPrometheusText(t *testing.T, text string) {
 		t.Fatal("no series in exposition")
 	}
 }
-
-// TestServerIngestsV2Frames: an agent from before the v3 stall flag keeps
-// streaming through a rolling upgrade — the server must apply its batches,
-// with the stalled gauge simply absent-from/cleared-by those events.
-func TestServerIngestsV2Frames(t *testing.T) {
-	srv := NewServer(ServerConfig{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	frame := v2BatchFrame(t, &Batch{
-		Origin: Origin{Job: "rolling", Node: "n0", Rank: 0},
-		Epoch:  1, Seq: 0,
-		Events: []export.Event{
-			{Kind: export.EventLWP, TimeSec: 1, LWP: &export.LWPSample{
-				TimeSec: 1, TID: 5, Kind: "Main", State: 'R',
-				UserPct: 90, VCtx: 2, NVCtx: 3, CPU: 0,
-			}},
-		},
-	})
-	resp, err := http.Post(ts.URL+"/api/ingest", "application/octet-stream", bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("v2 ingest status = %d, want 204", resp.StatusCode)
-	}
-	st := srv.Stats()
-	if st.IngestBatches != 1 || st.IngestEvents != 1 || st.IngestErrors != 0 {
-		t.Fatalf("stats after v2 ingest: %+v", st)
-	}
-
-	body, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer body.Body.Close()
-	text, err := io.ReadAll(body.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(text), `zerosum_lwp_nvctx_total{job="rolling"`) {
-		t.Fatalf("v2 batch did not reach /metrics:\n%s", text)
-	}
-	for _, line := range strings.Split(string(text), "\n") {
-		if strings.HasPrefix(line, `zerosum_lwp_stalled{job="rolling"`) && !strings.HasSuffix(line, " 0") {
-			t.Fatalf("v2 stream flagged stalled: %q", line)
-		}
-	}
-}

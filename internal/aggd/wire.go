@@ -28,37 +28,29 @@ import (
 // Wire framing (all little endian). Every message on the wire is one frame:
 //
 //	magic   "ZSAG" (4 bytes)
-//	version uint8  (currently 2)
-//	kind    uint8  (FrameBatch | FrameSnapshot)
+//	version uint8  (WireVersion; any other value is not a frame)
+//	kind    uint8  (FrameBatch | FrameSnapshot | FrameRollup)
 //	length  uint32 (payload bytes that follow)
 //	crc     uint32 (CRC-32C of the payload)
 //	payload
 //
-// A FrameBatch payload is the compact binary batch encoding below; a
-// FrameSnapshot payload is the JSON encoding of SnapshotMsg (snapshots are
-// sent once per rank, so compactness does not matter there). Multiple
-// frames may be concatenated in one HTTP request body.
+// A FrameBatch payload is the dictionary + per-stream delta encoding of
+// wirev4.go; a FrameSnapshot payload is the JSON encoding of SnapshotMsg
+// (snapshots are sent once per rank, so compactness does not matter there);
+// a FrameRollup payload is the leaf-to-parent shipment of rollup.go.
+// Multiple frames may be concatenated in one HTTP request body.
 //
 // The checksum exists because the aggregation path must stay trustworthy
 // under the link-flap and partial-write regimes an always-on monitor lives
 // through: a bit flip inside a float64 payload still decodes "successfully"
 // and silently poisons the job view, so every payload is integrity-checked
-// before it is parsed. Version 2 also carries the sending agent's stream
-// epoch so the server can tell a restarted agent (sequence numbers reset)
-// from a retried batch (sequence numbers repeat). Version 3 adds the LWP
-// event's stalled flag (§3.3 progress detection); a version-2 LWP event is
-// identical minus that byte and decodes with Stalled=false, so a fleet can
-// roll agents and aggregators independently during an upgrade. Version 4
-// replaces the batch payload encoding wholesale with the dictionary +
-// per-stream delta format of wirev4.go (the framing and the other payload
-// kinds are unchanged); versions 2 and 3 still decode, so a mixed fleet
-// keeps ingesting while agents roll forward.
+// before it is parsed. There is one wire version. The header's version byte
+// is a format guard, not a negotiation: a reader accepts exactly
+// WireVersion, and a frame stamped with anything else is resynced past and
+// fails its request like any other corrupt frame.
 const (
-	// WireVersion is the framing version senders emit.
+	// WireVersion is the one framing version senders emit and readers accept.
 	WireVersion = 4
-	// MinWireVersion is the oldest version readers still accept: version 2
-	// frames (pre-stall-flag agents) decode during a rolling upgrade.
-	MinWireVersion = 2
 	// MaxFramePayload bounds a frame so a corrupt or hostile length field
 	// cannot make the server allocate unbounded memory.
 	MaxFramePayload = 64 << 20
@@ -80,9 +72,9 @@ var wireMagic = [4]byte{'Z', 'S', 'A', 'G'}
 // FrameKind discriminates frame payloads.
 type FrameKind byte
 
-// Frame kinds. FrameRollup (kind 3, introduced with wire version 3) is
-// declared in rollup.go alongside its codec: a leaf aggregator's pre-merged
-// upstream shipment of admitted batches and snapshot documents.
+// Frame kinds. FrameRollup (kind 3) is declared in rollup.go alongside its
+// codec: a leaf aggregator's pre-merged upstream shipment of admitted
+// batches and snapshot documents.
 const (
 	FrameBatch    FrameKind = 1
 	FrameSnapshot FrameKind = 2
@@ -130,9 +122,9 @@ const (
 	tagHeartbeat
 )
 
-func appendHeader(dst []byte, kind FrameKind, ver uint8) []byte {
+func appendHeader(dst []byte, kind FrameKind) []byte {
 	dst = append(dst, wireMagic[:]...)
-	dst = append(dst, ver, byte(kind))
+	dst = append(dst, WireVersion, byte(kind))
 	dst = binary.LittleEndian.AppendUint32(dst, 0)  // length, patched by finishFrame
 	return binary.LittleEndian.AppendUint32(dst, 0) // crc, patched by finishFrame
 }
@@ -155,40 +147,15 @@ func appendString(dst []byte, s string) ([]byte, error) {
 	return append(dst, s...), nil
 }
 
-func appendF64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
 // AppendBatchFrame appends the framed encoding of b to dst and returns the
 // extended slice, so a sender can reuse one scratch buffer per shipment.
 //
 //zerosum:hotpath
 //zerosum:wire-encode batch
 func AppendBatchFrame(dst []byte, b *Batch) ([]byte, error) {
-	return AppendBatchFrameVersion(dst, b, WireVersion)
-}
-
-// AppendBatchFrameVersion appends b framed with wire version ver, for
-// agents pinned to an older format during a rolling upgrade (and for the
-// mixed-fleet tests and soaks that exercise the server's version spread).
-//
-//zerosum:hotpath
-//zerosum:wire-encode batch
-func AppendBatchFrameVersion(dst []byte, b *Batch, ver uint8) ([]byte, error) {
-	if ver < MinWireVersion || ver > WireVersion {
-		return nil, fmt.Errorf("aggd: unsupported wire version %d (want %d..%d)",
-			ver, MinWireVersion, WireVersion)
-	}
 	start := len(dst)
-	dst = appendHeader(dst, FrameBatch, ver)
-	dst, err := appendBatchPayloadVersion(dst, b, ver)
+	dst = appendHeader(dst, FrameBatch)
+	dst, err := appendBatchPayloadV4(dst, b)
 	if err != nil {
 		return nil, err
 	}
@@ -199,127 +166,8 @@ func AppendBatchFrameVersion(dst []byte, b *Batch, ver uint8) ([]byte, error) {
 	return dst[:start+len(frame)], nil
 }
 
-// appendBatchPayloadVersion appends the bare batch payload encoding at wire
-// version ver (what follows a FrameBatch header). Rollup frames embed the
-// same encoding length-prefixed, so it is shared rather than inlined in
-// AppendBatchFrameVersion.
-//
-//zerosum:hotpath
-//zerosum:wire-encode batch
-func appendBatchPayloadVersion(dst []byte, b *Batch, ver uint8) ([]byte, error) {
-	if ver >= 4 {
-		return appendBatchPayloadV4(dst, b)
-	}
-	var err error
-	if dst, err = appendString(dst, b.Job); err != nil {
-		return nil, err
-	}
-	if dst, err = appendString(dst, b.Node); err != nil {
-		return nil, err
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(b.Rank)))
-	dst = binary.LittleEndian.AppendUint64(dst, b.Epoch)
-	dst = binary.LittleEndian.AppendUint64(dst, b.Seq)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Events)))
-	for i := range b.Events {
-		if dst, err = appendEvent(dst, &b.Events[i], ver); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
 // EncodeBatchFrame encodes b as one complete frame.
 func EncodeBatchFrame(b *Batch) ([]byte, error) { return AppendBatchFrame(nil, b) }
-
-// appendEvent is the fixed-width v2/v3 event encoding; ver gates the one
-// layout difference (the v3 stalled byte). Version 4 events live in
-// wirev4.go.
-//
-//zerosum:hotpath
-//zerosum:wire-encode event
-func appendEvent(dst []byte, ev *export.Event, ver uint8) ([]byte, error) {
-	var err error
-	switch ev.Kind {
-	case export.EventLWP:
-		l := ev.LWP
-		if l == nil {
-			return nil, fmt.Errorf("aggd: LWP event with nil payload")
-		}
-		dst = append(dst, tagLWP)
-		dst = appendF64(dst, ev.TimeSec)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(l.TID)))
-		if dst, err = appendString(dst, l.Kind); err != nil {
-			return nil, err
-		}
-		dst = append(dst, l.State)
-		if ver >= 3 {
-			dst = append(dst, boolByte(l.Stalled))
-		}
-		dst = appendF64(dst, l.UserPct)
-		dst = appendF64(dst, l.SysPct)
-		dst = binary.LittleEndian.AppendUint64(dst, l.VCtx)
-		dst = binary.LittleEndian.AppendUint64(dst, l.NVCtx)
-		dst = binary.LittleEndian.AppendUint64(dst, l.MinFlt)
-		dst = binary.LittleEndian.AppendUint64(dst, l.MajFlt)
-		dst = binary.LittleEndian.AppendUint64(dst, l.NSwap)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(l.CPU)))
-	case export.EventHWT:
-		h := ev.HWT
-		if h == nil {
-			return nil, fmt.Errorf("aggd: HWT event with nil payload")
-		}
-		dst = append(dst, tagHWT)
-		dst = appendF64(dst, ev.TimeSec)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(h.CPU)))
-		dst = appendF64(dst, h.IdlePct)
-		dst = appendF64(dst, h.SysPct)
-		dst = appendF64(dst, h.UserPct)
-	case export.EventGPU:
-		g := ev.GPU
-		if g == nil {
-			return nil, fmt.Errorf("aggd: GPU event with nil payload")
-		}
-		dst = append(dst, tagGPU)
-		dst = appendF64(dst, ev.TimeSec)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(g.GPU)))
-		if dst, err = appendString(dst, g.Metric); err != nil {
-			return nil, err
-		}
-		dst = appendF64(dst, g.Value)
-	case export.EventMem:
-		m := ev.Mem
-		if m == nil {
-			return nil, fmt.Errorf("aggd: Mem event with nil payload")
-		}
-		dst = append(dst, tagMem)
-		dst = appendF64(dst, ev.TimeSec)
-		dst = binary.LittleEndian.AppendUint64(dst, m.TotalKB)
-		dst = binary.LittleEndian.AppendUint64(dst, m.FreeKB)
-		dst = binary.LittleEndian.AppendUint64(dst, m.AvailKB)
-		dst = binary.LittleEndian.AppendUint64(dst, m.ProcRSSKB)
-		dst = binary.LittleEndian.AppendUint64(dst, m.ProcHWMKB)
-	case export.EventIO:
-		io := ev.IO
-		if io == nil {
-			return nil, fmt.Errorf("aggd: IO event with nil payload")
-		}
-		dst = append(dst, tagIO)
-		dst = appendF64(dst, ev.TimeSec)
-		dst = binary.LittleEndian.AppendUint64(dst, io.RChar)
-		dst = binary.LittleEndian.AppendUint64(dst, io.WChar)
-		dst = binary.LittleEndian.AppendUint64(dst, io.SyscR)
-		dst = binary.LittleEndian.AppendUint64(dst, io.SyscW)
-		dst = binary.LittleEndian.AppendUint64(dst, io.ReadBytes)
-		dst = binary.LittleEndian.AppendUint64(dst, io.WriteBytes)
-	case export.EventHeartbeat:
-		dst = append(dst, tagHeartbeat)
-		dst = appendF64(dst, ev.TimeSec)
-	default:
-		return nil, fmt.Errorf("aggd: unknown event kind %d", ev.Kind)
-	}
-	return dst, nil
-}
 
 // EncodeSnapshotFrame encodes msg as one complete frame.
 func EncodeSnapshotFrame(msg *SnapshotMsg) ([]byte, error) {
@@ -327,7 +175,7 @@ func EncodeSnapshotFrame(msg *SnapshotMsg) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	frame := appendHeader(nil, FrameSnapshot, WireVersion)
+	frame := appendHeader(nil, FrameSnapshot)
 	frame = append(frame, body...)
 	return finishFrame(frame)
 }
@@ -340,67 +188,6 @@ func encodeSnapshotPayload(msg *SnapshotMsg) ([]byte, error) {
 		return nil, fmt.Errorf("aggd: marshal snapshot: %w", err)
 	}
 	return body, nil
-}
-
-// ReadFrame reads one frame from r and verifies its payload checksum,
-// returning the frame's wire version alongside its kind and payload (batch
-// payloads must be decoded with the version they were framed with; see
-// DecodeBatchPayloadVersionInto). io.EOF signals a clean end of stream; a
-// truncated frame yields io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader) (FrameKind, uint8, []byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, 0, nil, io.EOF
-		}
-		return 0, 0, nil, fmt.Errorf("aggd: frame header: %w", io.ErrUnexpectedEOF)
-	}
-	if [4]byte(hdr[:4]) != wireMagic {
-		return 0, 0, nil, fmt.Errorf("aggd: bad frame magic %q", hdr[:4])
-	}
-	ver := hdr[4]
-	if ver < MinWireVersion || ver > WireVersion {
-		return 0, 0, nil, fmt.Errorf("aggd: unsupported wire version %d (want %d..%d)",
-			ver, MinWireVersion, WireVersion)
-	}
-	kind := FrameKind(hdr[5])
-	n := binary.LittleEndian.Uint32(hdr[6:10])
-	if n > MaxFramePayload {
-		return 0, 0, nil, fmt.Errorf("aggd: frame claims %d payload bytes (max %d)", n, MaxFramePayload)
-	}
-	payload, err := readPayload(r, int(n))
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("aggd: frame payload: %w", io.ErrUnexpectedEOF)
-	}
-	if sum := crc32.Checksum(payload, castagnoli); sum != binary.LittleEndian.Uint32(hdr[10:14]) {
-		return 0, 0, nil, fmt.Errorf("aggd: frame payload checksum mismatch (corrupt frame)")
-	}
-	return kind, ver, payload, nil
-}
-
-// readPayload reads exactly n payload bytes, growing the buffer in bounded
-// chunks so a corrupt or hostile length field costs at most one chunk of
-// allocation before the short read is detected.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	const chunk = 1 << 20
-	if n <= chunk {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(r, buf)
-		return buf, err
-	}
-	buf := make([]byte, 0, chunk)
-	for len(buf) < n {
-		k := n - len(buf)
-		if k > chunk {
-			k = chunk
-		}
-		off := len(buf)
-		buf = append(buf, make([]byte, k)...)
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }
 
 // CorruptFrameError reports bytes a FrameScanner had to throw away to get
@@ -428,7 +215,6 @@ func (e *CorruptFrameError) Error() string {
 type FrameScanner struct {
 	r       *bufio.Reader
 	payload []byte // reused across Next calls; see readFrameReuse
-	ver     uint8  // wire version of the frame Next last returned
 }
 
 // NewFrameScanner wraps r for resynchronizing frame iteration.
@@ -444,31 +230,23 @@ const maxRetainedPayload = 4 << 20
 // payload buffer so pooled scanners are reused across ingest requests.
 func (s *FrameScanner) Reset(r io.Reader) {
 	s.r.Reset(r)
-	s.ver = 0
 	if cap(s.payload) > maxRetainedPayload {
 		s.payload = nil
 	}
 }
 
-// Version returns the wire version of the frame the last successful Next
-// returned (0 before the first frame). Batch payloads must be decoded with
-// it: DecodeBatchPayloadVersionInto(payload, sc.Version(), bb).
-func (s *FrameScanner) Version() uint8 { return s.ver }
-
-// plausibleHeader reports whether hdr could open a real frame. Rollup
-// frames only exist from wire version 3 on, so a version-2 header claiming
-// one is garbage to resync past, not a frame.
+// plausibleHeader reports whether hdr could open a real frame: the magic,
+// exactly the one wire version, a known kind and a bounded length. Anything
+// else — a frame stamped with a foreign version included — is bytes to
+// resync past, so it surfaces as a CorruptFrameError and is never parsed.
 func plausibleHeader(hdr []byte) bool {
-	if [4]byte(hdr[:4]) != wireMagic ||
-		hdr[4] < MinWireVersion || hdr[4] > WireVersion ||
+	if [4]byte(hdr[:4]) != wireMagic || hdr[4] != WireVersion ||
 		binary.LittleEndian.Uint32(hdr[6:10]) > MaxFramePayload {
 		return false
 	}
 	switch FrameKind(hdr[5]) {
-	case FrameBatch, FrameSnapshot:
+	case FrameBatch, FrameSnapshot, FrameRollup:
 		return true
-	case FrameRollup:
-		return hdr[4] >= 3
 	}
 	return false
 }
@@ -521,13 +299,13 @@ func (s *FrameScanner) Next() (FrameKind, []byte, error) {
 	}
 }
 
-// readFrameReuse is ReadFrame against the scanner's reusable payload
-// buffer. hdr is the full header Next already peeked (and plausibleHeader
-// already vetted), so it is parsed in place rather than re-read — re-reading
-// into a local array would heap-allocate it once per frame.
+// readFrameReuse reads one frame's payload into the scanner's reusable
+// buffer and verifies its checksum. hdr is the full header Next already
+// peeked (and plausibleHeader already vetted), so it is parsed in place
+// rather than re-read — re-reading into a local array would heap-allocate it
+// once per frame.
 func (s *FrameScanner) readFrameReuse(hdr []byte) (FrameKind, []byte, error) {
 	kind := FrameKind(hdr[5])
-	ver := hdr[4]
 	n := int(binary.LittleEndian.Uint32(hdr[6:10]))
 	want := binary.LittleEndian.Uint32(hdr[10:14])
 	// Cannot fail: Peek just proved frameHeaderLen buffered bytes.
@@ -541,13 +319,13 @@ func (s *FrameScanner) readFrameReuse(hdr []byte) (FrameKind, []byte, error) {
 	if sum := crc32.Checksum(payload, castagnoli); sum != want {
 		return 0, nil, fmt.Errorf("aggd: frame payload checksum mismatch (corrupt frame)")
 	}
-	s.ver = ver
 	return kind, payload, nil
 }
 
-// readPayloadReuse mirrors readPayload's bounded-chunk growth (a lying length
-// field costs at most one chunk before the short read surfaces) but grows the
-// scanner's own buffer, so a warm scanner reads every frame allocation-free.
+// readPayloadReuse reads exactly n payload bytes into the scanner's own
+// buffer, so a warm scanner reads every frame allocation-free. A buffer that
+// is too small grows in bounded chunks: a corrupt or hostile length field
+// costs at most one chunk of allocation before the short read surfaces.
 func (s *FrameScanner) readPayloadReuse(n int) ([]byte, error) {
 	const chunk = 1 << 20
 	buf := s.payload[:0]
@@ -575,7 +353,6 @@ func (s *FrameScanner) readPayloadReuse(n int) ([]byte, error) {
 type decoder struct {
 	buf []byte
 	off int
-	ver uint8 // wire version the payload was framed with
 }
 
 func (d *decoder) need(n int) ([]byte, error) {
@@ -617,16 +394,6 @@ func (d *decoder) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-func (d *decoder) i32() (int, error) {
-	v, err := d.u32()
-	return int(int32(v)), err
-}
-
-func (d *decoder) f64() (float64, error) {
-	v, err := d.u64()
-	return math.Float64frombits(v), err
-}
-
 // str decodes a u16-length-prefixed string without interning (for
 // low-frequency fields like a rollup's leaf ID, where an arena table
 // buys nothing).
@@ -654,32 +421,10 @@ func (d *decoder) lenPrefixed() ([]byte, error) {
 
 // maxInterned bounds a BatchBuf's string table so a hostile stream of
 // distinct label strings cannot grow a pooled arena without limit; overflow
-// strings still decode, they just allocate.
+// strings still decode, they just allocate. Label-like fields (job, node,
+// LWP kind, GPU metric name) repeat endlessly across batches, so a warm
+// table makes dictionary decode allocation-free.
 const maxInterned = 1024
-
-// strInterned decodes a length-prefixed string through tab: label-like
-// fields (job, node, LWP kind, GPU metric name) repeat endlessly across
-// batches, so a warm table makes them allocation-free. The map lookup on a
-// []byte conversion does not allocate (the compiler elides the copy).
-func (d *decoder) strInterned(tab map[string]string) (string, error) {
-	b, err := d.need(2)
-	if err != nil {
-		return "", err
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	raw, err := d.need(n)
-	if err != nil {
-		return "", err
-	}
-	if s, ok := tab[string(raw)]; ok {
-		return s, nil
-	}
-	s := string(raw)
-	if len(tab) < maxInterned {
-		tab[s] = s
-	}
-	return s, nil
-}
 
 // BatchBuf is a reusable decode arena for batch payloads. The events and
 // their payload structs land in slices owned by the arena, and repeated
@@ -696,10 +441,10 @@ type BatchBuf struct {
 	io    []export.IOSample
 	strs  map[string]string
 
-	// Version-4 decode state: the batch dictionary, its canonical-form
+	// Per-batch decode state: the batch dictionary, its canonical-form
 	// bookkeeping, and the per-stream delta predictors. Kept here (rather
-	// than on a per-call struct) so a pooled warm arena decodes v4 batches
-	// without allocating; resetV4 clears values but keeps the map buckets.
+	// than on a per-call struct) so a pooled warm arena decodes without
+	// allocating; reset clears values but keeps the map buckets.
 	dict     []string
 	dictUsed int
 	dictSeen map[string]bool
@@ -717,99 +462,32 @@ func (bb *BatchBuf) reset() {
 	bb.io = bb.io[:0]
 	if bb.strs == nil {
 		bb.strs = make(map[string]string)
-	}
-}
-
-// resetV4 clears the v4-only decode state; split from reset so v2/v3
-// decodes do not pay for maps they never touch.
-func (bb *BatchBuf) resetV4() {
-	bb.dict = bb.dict[:0]
-	bb.dictUsed = 0
-	if bb.dictSeen == nil {
 		bb.dictSeen = make(map[string]bool)
 	} else {
 		clear(bb.dictSeen)
 	}
+	bb.dict = bb.dict[:0]
+	bb.dictUsed = 0
 	bb.streams.reset()
 }
 
-// DecodeBatchPayload parses a current-version FrameBatch payload into a
-// fresh arena; the result is independently owned by the caller.
+// DecodeBatchPayload parses a FrameBatch payload into a fresh arena; the
+// result is independently owned by the caller.
 func DecodeBatchPayload(payload []byte) (*Batch, error) {
 	return DecodeBatchPayloadInto(payload, new(BatchBuf))
 }
 
-// DecodeBatchPayloadInto parses a current-version FrameBatch payload into
-// bb and returns the arena's batch. See BatchBuf for the aliasing contract.
-func DecodeBatchPayloadInto(payload []byte, bb *BatchBuf) (*Batch, error) {
-	return DecodeBatchPayloadVersionInto(payload, WireVersion, bb)
-}
-
-// DecodeBatchPayloadVersionInto parses a FrameBatch payload framed with
-// wire version ver (as reported by ReadFrame or FrameScanner.Version) into
-// bb. Version 2 LWP events carry no stalled flag and decode with
-// Stalled=false, which keeps a mixed-version fleet ingesting during a
-// rolling upgrade.
+// DecodeBatchPayloadInto parses a FrameBatch payload into bb and returns
+// the arena's batch. See BatchBuf for the aliasing contract.
 //
 //zerosum:wire-decode batch
-func DecodeBatchPayloadVersionInto(payload []byte, ver uint8, bb *BatchBuf) (*Batch, error) {
-	if ver < MinWireVersion || ver > WireVersion {
-		return nil, fmt.Errorf("aggd: unsupported wire version %d (want %d..%d)",
-			ver, MinWireVersion, WireVersion)
-	}
-	if ver >= 4 {
-		return decodeBatchPayloadV4Into(payload, bb)
-	}
-	bb.reset()
-	d := &decoder{buf: payload, ver: ver}
-	b := &bb.batch
-	var err error
-	if b.Job, err = d.strInterned(bb.strs); err != nil {
-		return nil, err
-	}
-	if b.Node, err = d.strInterned(bb.strs); err != nil {
-		return nil, err
-	}
-	if b.Rank, err = d.i32(); err != nil {
-		return nil, err
-	}
-	if b.Epoch, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if b.Seq, err = d.u64(); err != nil {
-		return nil, err
-	}
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	// Every event costs at least a tag byte plus the f64 timestamp, so a
-	// count the remaining bytes cannot hold is a lie — reject it before it
-	// sizes an allocation (a hostile count of 2^32-1 would otherwise ask
-	// for hundreds of gigabytes of Event headroom).
-	const minEventLen = 9
-	if int64(n)*minEventLen > int64(len(payload)-d.off) {
-		return nil, fmt.Errorf("aggd: batch claims %d events in %d bytes", n, len(payload)-d.off)
-	}
-	events := b.Events
-	for i := uint32(0); i < n; i++ {
-		ev, err := decodeEventInto(d, bb)
-		if err != nil {
-			return nil, fmt.Errorf("aggd: event %d: %w", i, err)
-		}
-		events = append(events, ev)
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("aggd: %d trailing bytes after batch", len(payload)-d.off)
-	}
-	b.Events = events
-	fixupEventPayloads(events, bb)
-	return b, nil
+func DecodeBatchPayloadInto(payload []byte, bb *BatchBuf) (*Batch, error) {
+	return decodeBatchPayloadV4Into(payload, bb)
 }
 
 // fixupEventPayloads assigns each event's payload pointer into the arena.
 // This runs only after the whole batch is decoded: the per-kind appends in
-// decodeEventInto may relocate the typed slices mid-decode, so events carry
+// decodeEventV4Into may relocate the typed slices mid-decode, so events carry
 // nil pointers until every backing array has reached its final address.
 //
 //zerosum:wire-decode event
@@ -834,123 +512,6 @@ func fixupEventPayloads(events []export.Event, bb *BatchBuf) {
 			iI++
 		}
 	}
-}
-
-// decodeEventInto decodes one event, appending its payload struct to the
-// arena's per-kind slice. The returned event carries only Kind and TimeSec;
-// DecodeBatchPayloadInto's fix-up pass wires the payload pointer once the
-// arena slices stop moving.
-//
-//zerosum:wire-decode event
-func decodeEventInto(d *decoder, bb *BatchBuf) (export.Event, error) {
-	var ev export.Event
-	tag, err := d.u8()
-	if err != nil {
-		return ev, err
-	}
-	if ev.TimeSec, err = d.f64(); err != nil {
-		return ev, err
-	}
-	switch tag {
-	case tagLWP:
-		ev.Kind = export.EventLWP
-		bb.lwp = append(bb.lwp, export.LWPSample{TimeSec: ev.TimeSec})
-		l := &bb.lwp[len(bb.lwp)-1]
-		if l.TID, err = d.i32(); err != nil {
-			return ev, err
-		}
-		if l.Kind, err = d.strInterned(bb.strs); err != nil {
-			return ev, err
-		}
-		if l.State, err = d.u8(); err != nil {
-			return ev, err
-		}
-		// The stalled flag is the one v2→v3 layout change: a v2 sender
-		// predates progress detection, so its threads decode as not stalled.
-		if d.ver >= 3 {
-			var stalled byte
-			if stalled, err = d.u8(); err != nil {
-				return ev, err
-			}
-			l.Stalled = stalled != 0
-		}
-		// The fixed-width tail (2 floats, 5 counters) is bounds-checked once
-		// and decoded with direct loads; per-field reads dominated the
-		// ingest profile.
-		b, err := d.need(56)
-		if err != nil {
-			return ev, err
-		}
-		l.UserPct = math.Float64frombits(binary.LittleEndian.Uint64(b[0:8]))
-		l.SysPct = math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))
-		l.VCtx = binary.LittleEndian.Uint64(b[16:24])
-		l.NVCtx = binary.LittleEndian.Uint64(b[24:32])
-		l.MinFlt = binary.LittleEndian.Uint64(b[32:40])
-		l.MajFlt = binary.LittleEndian.Uint64(b[40:48])
-		l.NSwap = binary.LittleEndian.Uint64(b[48:56])
-		if l.CPU, err = d.i32(); err != nil {
-			return ev, err
-		}
-	case tagHWT:
-		ev.Kind = export.EventHWT
-		bb.hwt = append(bb.hwt, export.HWTSample{TimeSec: ev.TimeSec})
-		h := &bb.hwt[len(bb.hwt)-1]
-		if h.CPU, err = d.i32(); err != nil {
-			return ev, err
-		}
-		b, err := d.need(24)
-		if err != nil {
-			return ev, err
-		}
-		h.IdlePct = math.Float64frombits(binary.LittleEndian.Uint64(b[0:8]))
-		h.SysPct = math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))
-		h.UserPct = math.Float64frombits(binary.LittleEndian.Uint64(b[16:24]))
-	case tagGPU:
-		ev.Kind = export.EventGPU
-		bb.gpu = append(bb.gpu, export.GPUSample{TimeSec: ev.TimeSec})
-		g := &bb.gpu[len(bb.gpu)-1]
-		if g.GPU, err = d.i32(); err != nil {
-			return ev, err
-		}
-		if g.Metric, err = d.strInterned(bb.strs); err != nil {
-			return ev, err
-		}
-		if g.Value, err = d.f64(); err != nil {
-			return ev, err
-		}
-	case tagMem:
-		ev.Kind = export.EventMem
-		bb.mem = append(bb.mem, export.MemSample{TimeSec: ev.TimeSec})
-		m := &bb.mem[len(bb.mem)-1]
-		b, err := d.need(40)
-		if err != nil {
-			return ev, err
-		}
-		m.TotalKB = binary.LittleEndian.Uint64(b[0:8])
-		m.FreeKB = binary.LittleEndian.Uint64(b[8:16])
-		m.AvailKB = binary.LittleEndian.Uint64(b[16:24])
-		m.ProcRSSKB = binary.LittleEndian.Uint64(b[24:32])
-		m.ProcHWMKB = binary.LittleEndian.Uint64(b[32:40])
-	case tagIO:
-		ev.Kind = export.EventIO
-		bb.io = append(bb.io, export.IOSample{TimeSec: ev.TimeSec})
-		io := &bb.io[len(bb.io)-1]
-		b, err := d.need(48)
-		if err != nil {
-			return ev, err
-		}
-		io.RChar = binary.LittleEndian.Uint64(b[0:8])
-		io.WChar = binary.LittleEndian.Uint64(b[8:16])
-		io.SyscR = binary.LittleEndian.Uint64(b[16:24])
-		io.SyscW = binary.LittleEndian.Uint64(b[24:32])
-		io.ReadBytes = binary.LittleEndian.Uint64(b[32:40])
-		io.WriteBytes = binary.LittleEndian.Uint64(b[40:48])
-	case tagHeartbeat:
-		ev.Kind = export.EventHeartbeat
-	default:
-		return ev, fmt.Errorf("unknown event tag %d", tag)
-	}
-	return ev, nil
 }
 
 // DecodeSnapshotPayload parses a FrameSnapshot payload.

@@ -2,7 +2,6 @@ package aggd
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -41,18 +40,45 @@ func sampleBatch() *Batch {
 	}
 }
 
+// legacyV2Frame is a genuine wire-version-2 batch frame (job "jr", node
+// "n02", rank 2, one LWP event in the old fixed-width layout), kept as bytes
+// now that nothing encodes that version: a reader must resync past it,
+// never parse it.
+const legacyV2Frame = "ZSAG\x02\x01q\x00\x00\x00\xc5\xe9\x8c\xa9\x02\x00jr\x03\x00n02\x02\x00\x00\x00" +
+	"\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00" +
+	"\x01\x00\x00\x00\x00\x00\x00\xf0?\x09\x00\x00\x00\x04\x00MainR\x00\x00\x00\x00\x00\x80Q@" +
+	"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+	"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+	"\x00\x00\x00\x00"
+
+// stampVersion returns a copy of frame with its header version byte set to
+// ver. The CRC covers only the payload, so the result is still a
+// well-formed frame — of a version no reader accepts.
+func stampVersion(frame []byte, ver uint8) []byte {
+	out := append([]byte(nil), frame...)
+	out[4] = ver
+	return out
+}
+
+// readOneFrame scans the first frame of data, which must be healthy.
+func readOneFrame(t testing.TB, data []byte) (FrameKind, []byte) {
+	t.Helper()
+	kind, payload, err := NewFrameScanner(bytes.NewReader(data)).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kind, payload
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	want := sampleBatch()
 	frame, err := EncodeBatchFrame(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kind, ver, payload, err := ReadFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != FrameBatch || ver != WireVersion {
-		t.Fatalf("kind = %d, ver = %d", kind, ver)
+	kind, payload := readOneFrame(t, frame)
+	if kind != FrameBatch {
+		t.Fatalf("kind = %d", kind)
 	}
 	got, err := DecodeBatchPayload(payload)
 	if err != nil {
@@ -69,10 +95,7 @@ func TestBatchRoundTripEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, payload, err := ReadFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, payload := readOneFrame(t, frame)
 	got, err := DecodeBatchPayload(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +128,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kind, _, payload, err := ReadFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
+	kind, payload := readOneFrame(t, frame)
 	if kind != FrameSnapshot {
 		t.Fatalf("kind = %d", kind)
 	}
@@ -131,9 +151,9 @@ func TestReadFrameConcatenated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := bytes.NewReader(buf)
+	sc := NewFrameScanner(bytes.NewReader(buf))
 	for i := 0; i < 3; i++ {
-		_, _, payload, err := ReadFrame(r)
+		_, payload, err := sc.Next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -145,7 +165,7 @@ func TestReadFrameConcatenated(t *testing.T) {
 			t.Fatalf("frame %d has seq %d", i, got.Seq)
 		}
 	}
-	if _, _, _, err := ReadFrame(r); err != io.EOF {
+	if _, _, err := sc.Next(); err != io.EOF {
 		t.Fatalf("want io.EOF after last frame, got %v", err)
 	}
 }
@@ -157,11 +177,11 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"bad magic":   append([]byte("NOPE"), frame[4:]...),
-		"bad version": append(append([]byte{}, frame[:4]...), append([]byte{99}, frame[5:]...)...),
+		"bad version": stampVersion(frame, 99),
 		"truncated":   frame[:len(frame)-5],
 	}
 	for name, data := range cases {
-		if _, _, _, err := ReadFrame(bytes.NewReader(data)); err == nil || err == io.EOF {
+		if _, _, err := NewFrameScanner(bytes.NewReader(data)).Next(); err == nil || err == io.EOF {
 			t.Errorf("%s: want error, got %v", name, err)
 		}
 	}
@@ -172,10 +192,7 @@ func TestDecodeBatchPayloadRejectsTrailing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, payload, err := ReadFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, payload := readOneFrame(t, frame)
 	if _, err := DecodeBatchPayload(append(payload, 0)); err == nil {
 		t.Fatal("trailing byte not rejected")
 	}
@@ -188,146 +205,5 @@ func TestEncodeRejectsNilPayload(t *testing.T) {
 	b := &Batch{Events: []export.Event{{Kind: export.EventLWP}}}
 	if _, err := EncodeBatchFrame(b); err == nil {
 		t.Fatal("nil LWP payload not rejected")
-	}
-}
-
-// v2BatchFrame encodes b as a wire-version-2 frame: the layout an agent
-// from before the stalled flag (§3.3) ships, which the reader must keep
-// accepting through a rolling upgrade.
-func v2BatchFrame(t testing.TB, b *Batch) []byte {
-	t.Helper()
-	dst := appendHeader(nil, FrameBatch, 2)
-	var err error
-	if dst, err = appendString(dst, b.Job); err != nil {
-		t.Fatal(err)
-	}
-	if dst, err = appendString(dst, b.Node); err != nil {
-		t.Fatal(err)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(b.Rank)))
-	dst = binary.LittleEndian.AppendUint64(dst, b.Epoch)
-	dst = binary.LittleEndian.AppendUint64(dst, b.Seq)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Events)))
-	for i := range b.Events {
-		ev := &b.Events[i]
-		if ev.Kind != export.EventLWP {
-			t.Fatalf("v2BatchFrame only encodes LWP events, got kind %d", ev.Kind)
-		}
-		l := ev.LWP
-		dst = append(dst, tagLWP)
-		dst = appendF64(dst, ev.TimeSec)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(l.TID)))
-		if dst, err = appendString(dst, l.Kind); err != nil {
-			t.Fatal(err)
-		}
-		dst = append(dst, l.State) // v2: no stalled byte after the state
-		dst = appendF64(dst, l.UserPct)
-		dst = appendF64(dst, l.SysPct)
-		dst = binary.LittleEndian.AppendUint64(dst, l.VCtx)
-		dst = binary.LittleEndian.AppendUint64(dst, l.NVCtx)
-		dst = binary.LittleEndian.AppendUint64(dst, l.MinFlt)
-		dst = binary.LittleEndian.AppendUint64(dst, l.MajFlt)
-		dst = binary.LittleEndian.AppendUint64(dst, l.NSwap)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(l.CPU)))
-	}
-	frame, err := finishFrame(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frame
-}
-
-func TestDecodeBatchPayloadV2Compat(t *testing.T) {
-	want := &Batch{
-		Origin: Origin{Job: "roll", Node: "n1", Rank: 2},
-		Epoch:  1, Seq: 4,
-		Events: []export.Event{
-			{Kind: export.EventLWP, TimeSec: 1.5, LWP: &export.LWPSample{
-				TimeSec: 1.5, TID: 99, Kind: "Main", State: 'R',
-				UserPct: 50, SysPct: 2, VCtx: 7, NVCtx: 11,
-				MinFlt: 1, MajFlt: 0, NSwap: 0, CPU: 3,
-			}},
-		},
-	}
-	frame := v2BatchFrame(t, want)
-	kind, ver, payload, err := ReadFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != FrameBatch || ver != 2 {
-		t.Fatalf("kind = %d, ver = %d, want batch v2", kind, ver)
-	}
-	got, err := DecodeBatchPayloadVersionInto(payload, ver, new(BatchBuf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v2 decode mismatch:\ngot  %+v\nwant %+v", got, want)
-	}
-	if got.Events[0].LWP.Stalled {
-		t.Fatal("v2 LWP event decoded with Stalled=true")
-	}
-	// A v2 payload handed to the v3 decoder must not decode silently: the
-	// missing stalled byte skews every later field.
-	if _, err := DecodeBatchPayloadInto(payload, new(BatchBuf)); err == nil {
-		t.Fatal("v3 decoder accepted a v2 payload")
-	}
-	// Out-of-range versions are rejected outright.
-	if _, err := DecodeBatchPayloadVersionInto(payload, 1, new(BatchBuf)); err == nil {
-		t.Fatal("version 1 not rejected")
-	}
-	if _, err := DecodeBatchPayloadVersionInto(payload, WireVersion+1, new(BatchBuf)); err == nil {
-		t.Fatal("future version not rejected")
-	}
-}
-
-// TestFrameScannerMixedVersions: one body interleaving v2, v3 and v4
-// frames — the rolling-upgrade wire state — scans cleanly with Version
-// tracking each frame.
-func TestFrameScannerMixedVersions(t *testing.T) {
-	v4 := sampleBatch()
-	v4Frame, err := EncodeBatchFrame(v4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v3 := sampleBatch()
-	v3.Seq = 5
-	v3Frame, err := AppendBatchFrameVersion(nil, v3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := &Batch{
-		Origin: Origin{Job: "roll", Node: "n2", Rank: 0},
-		Epoch:  1, Seq: 9,
-		Events: []export.Event{
-			{Kind: export.EventLWP, TimeSec: 2, LWP: &export.LWPSample{
-				TimeSec: 2, TID: 7, Kind: "Other", State: 'S', CPU: 1,
-			}},
-		},
-	}
-	body := append(v2BatchFrame(t, v2), v3Frame...)
-	body = append(body, v4Frame...)
-	sc := NewFrameScanner(bytes.NewReader(body))
-
-	wantVers := []uint8{2, 3, 4}
-	wantSeqs := []uint64{9, 5, 9}
-	for i := range wantVers {
-		kind, payload, err := sc.Next()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if kind != FrameBatch || sc.Version() != wantVers[i] {
-			t.Fatalf("frame %d: kind %d version %d, want batch v%d", i, kind, sc.Version(), wantVers[i])
-		}
-		b, err := DecodeBatchPayloadVersionInto(payload, sc.Version(), new(BatchBuf))
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if b.Seq != wantSeqs[i] {
-			t.Fatalf("frame %d: seq %d, want %d", i, b.Seq, wantSeqs[i])
-		}
-	}
-	if _, _, err := sc.Next(); err != io.EOF {
-		t.Fatalf("want io.EOF, got %v", err)
 	}
 }

@@ -1,10 +1,11 @@
 package aggd
 
-// Wire version 4: the bytes-per-sample format. A v3 batch spends most of
-// its bytes on fixed-width fields that barely change between samples of the
-// same stream — 8-byte counters that tick up by single digits, float
-// percentages that repeat, label strings resent on every event. Version 4
-// removes that redundancy with two per-batch mechanisms:
+// The batch payload encoding (wire version 4, the only one): the
+// bytes-per-sample format. A fixed-width layout spends most of its bytes on
+// fields that barely change between samples of the same stream — 8-byte
+// counters that tick up by single digits, float percentages that repeat,
+// label strings resent on every event. This encoding removes that
+// redundancy with two per-batch mechanisms:
 //
 //   - a field dictionary: every string the batch carries (job, node, LWP
 //     kinds, GPU metric labels) is emitted once, in first-use order, at the
@@ -42,10 +43,9 @@ import (
 	"zerosum/internal/export"
 )
 
-// v4MaxStrings bounds a batch dictionary (and each entry's length) to the
-// same 64Ki limit the v2/v3 length-prefixed strings had. The encoder
-// enforces it so the decoder may reject bigger claims as hostile without
-// ever breaking a legitimate sender.
+// v4MaxStrings bounds a batch dictionary (and each entry's length) at 64Ki.
+// The encoder enforces it so the decoder may reject bigger claims as hostile
+// without ever breaking a legitimate sender.
 const v4MaxStrings = math.MaxUint16
 
 func zigzag64(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
@@ -506,8 +506,7 @@ func (d *decoder) resolveRef(bb *BatchBuf, r uint64) (string, error) {
 //zerosum:wire-decode batch
 func decodeBatchPayloadV4Into(payload []byte, bb *BatchBuf) (*Batch, error) {
 	bb.reset()
-	bb.resetV4()
-	d := &decoder{buf: payload, ver: 4}
+	d := &decoder{buf: payload}
 	b := &bb.batch
 
 	nStr, err := d.uvarint()
@@ -598,8 +597,8 @@ func decodeBatchPayloadV4Into(payload []byte, bb *BatchBuf) (*Batch, error) {
 }
 
 // decodeEventV4Into decodes one v4 event, appending its payload struct to
-// the arena's per-kind slice (the fix-up pass wires the pointers once the
-// slices stop moving, as in v2/v3).
+// the arena's per-kind slice. The event carries only Kind and TimeSec here;
+// fixupEventPayloads wires the payload pointer once the slices stop moving.
 //
 //zerosum:hotpath
 //zerosum:wire-decode event

@@ -282,10 +282,7 @@ func RunMultiJobSoak(cfg MultiJobSoakConfig) (*MultiJobSoakResult, error) {
 				BackoffBase:   time.Millisecond,
 				MaxBackoff:    4 * time.Millisecond,
 				DisableGzip:   true,
-				// Mixed wire versions across the fleet, varied per job so
-				// colliding (node, rank) tuples often differ in version too.
-				WireVersion: wireVersionFor(jr.spec.Index*7 + r),
-				Client:      agentClient,
+				Client:        agentClient,
 			})
 			if err != nil {
 				return fmt.Errorf("chaos: job %s rank %d: %w", jr.spec.ID, r, err)

@@ -225,13 +225,6 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	return res, errors.Join(errs...)
 }
 
-// wireVersionFor cycles the soak fleet through every supported batch wire
-// version by rank, so each run exercises the mixed-version ingest state a
-// rolling agent upgrade produces.
-func wireVersionFor(rank int) uint8 {
-	return aggd.MinWireVersion + uint8(rank%(aggd.WireVersion-aggd.MinWireVersion+1))
-}
-
 // slot tracks one rank's agent across incarnations.
 type slot struct {
 	rank  int
@@ -259,10 +252,6 @@ func (s *slot) start(addr string) (*http.Transport, error) {
 		RingCap:       s.ring,
 		BatchSize:     16,
 		FlushInterval: time.Millisecond,
-		// Spread the fleet across every supported wire version — the
-		// rolling-upgrade state: the server must conserve events and
-		// produce identical reports whether a rank shipped v2, v3 or v4.
-		WireVersion: wireVersionFor(s.rank),
 		// Few enough retries that a partition window can defeat a batch
 		// outright, producing the real sequence gaps (and gap accounting)
 		// the server must absorb.

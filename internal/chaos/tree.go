@@ -198,10 +198,7 @@ func RunTreeSoak(cfg TreeSoakConfig) (*TreeSoakResult, error) {
 			BackoffBase:   time.Millisecond,
 			MaxBackoff:    4 * time.Millisecond,
 			DisableGzip:   true,
-			// Mixed-version fleet: leaves must admit every supported batch
-			// version and re-encode rollups at the current one.
-			WireVersion: wireVersionFor(r),
-			Client:      &http.Client{Transport: agentTransport, Timeout: 250 * time.Millisecond},
+			Client:        &http.Client{Transport: agentTransport, Timeout: 250 * time.Millisecond},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("chaos: tree rank %d: %w", r, err)
