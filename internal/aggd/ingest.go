@@ -202,15 +202,8 @@ func (s *Server) applyBatch(b *Batch) bool {
 	rs := sh.rank(rankKey{node: b.Node, rank: b.Rank})
 	rs.lastRecv = now // even a replay proves the stream is alive
 	verdict, gap := rs.seq.admit(b.Epoch, b.Seq)
-	if gap > 0 {
-		s.lostBatches.Add(gap)
-	}
-	switch verdict {
-	case seqDuplicate:
-		s.dupBatches.Add(1)
+	if !verdict.tally(gap, &s.lostBatches, &s.recoveredBatches, &s.dupBatches) {
 		return false
-	case seqRecovered:
-		s.recoveredBatches.Add(1)
 	}
 	if s.fwd != nil {
 		s.fwd.EnqueueBatch(b)
@@ -335,17 +328,7 @@ func (s *Server) admitRollup(leafID string, epoch, seq uint64) bool {
 		s.leafSeqs[leafID] = ls
 	}
 	verdict, gap := ls.seq.admit(epoch, seq)
-	if gap > 0 {
-		s.lostRollups.Add(gap)
-	}
-	switch verdict {
-	case seqDuplicate:
-		s.dupRollups.Add(1)
-		return false
-	case seqRecovered:
-		s.recoveredRollups.Add(1)
-	}
-	return true
+	return verdict.tally(gap, &s.lostRollups, &s.recoveredRollups, &s.dupRollups)
 }
 
 // applyRollup validates and merges one rollup frame. The structure is

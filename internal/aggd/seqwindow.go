@@ -1,5 +1,7 @@
 package aggd
 
+import "sync/atomic"
+
 // maxTrackedHoles bounds the per-stream set of outstanding sequence gaps so
 // a pathological sender cannot grow server memory; beyond the bound, a late
 // retry of an untracked gap counts as a duplicate (data already counted
@@ -14,6 +16,22 @@ const (
 	seqRecovered                   // late retry filling a tracked gap: merge
 	seqDuplicate                   // replay or dead-incarnation straggler: do not merge
 )
+
+// tally adds a ruling and its gap to one tier's counters and reports whether
+// the shipment carries new data to merge.
+func (v seqVerdict) tally(gap uint64, lost, recovered, dup *atomic.Uint64) bool {
+	if gap > 0 {
+		lost.Add(gap)
+	}
+	switch v {
+	case seqDuplicate:
+		dup.Add(1)
+		return false
+	case seqRecovered:
+		recovered.Add(1)
+	}
+	return true
+}
 
 // seqWindow is the dedup state machine of one numbered stream. A sender
 // numbers its shipments 0,1,2,… within one epoch (incarnation) and resends
@@ -35,8 +53,7 @@ type seqWindow struct {
 
 // admit rules on (epoch, seq) and advances the window. gap is the number of
 // sequence numbers this call newly counted as lost-until-proven-otherwise;
-// the caller adds it to its lost counter and maps the verdict onto its
-// recovered/duplicate counters.
+// the caller tallies both onto its own lost/recovered/duplicate counters.
 //
 // Ordering is by seq > maxSeq and gaps are sized seq-maxSeq-1, never via
 // maxSeq+1: that sum wraps at the top of the sequence space and would let a

@@ -111,9 +111,9 @@ func TestSeqWindowModel(t *testing.T) {
 			default: // restart that opens at the very top of the space
 				epoch++
 				m.offer(epoch, math.MaxUint64)
-				m.offer(epoch, 5000) // the wrapped maxSeq+1 once admitted this…
-				m.offer(epoch, math.MaxUint64)
-				next = uint64(rng.Intn(2000)) // …and then the replay above
+				m.offer(epoch, 5000)           // below the mark, untracked: must not move it
+				m.offer(epoch, math.MaxUint64) // so this replay stays a duplicate
+				next = uint64(rng.Intn(2000))
 			}
 		}
 	}
