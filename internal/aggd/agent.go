@@ -42,7 +42,8 @@ type AgentConfig struct {
 	// propagates to the sampling loop.
 	RingCap int
 	// BatchSize is the shipment size that triggers an eager flush
-	// (default 512 events).
+	// (default 512 events). A stream that keeps producing is shipped in
+	// exactly this size; what a burst leaves behind follows at once.
 	BatchSize int
 	// FlushInterval ships partial batches at least this often
 	// (default 500 ms).
@@ -243,8 +244,8 @@ func (a *Agent) enqueue(ev export.Event) {
 	a.count++
 	a.enqueued++
 	// Kick the sender only when the buffer crosses the batch threshold
-	// (drain empties the ring, so each crossing is seen exactly once);
-	// anything below it rides the FlushInterval ticker.
+	// (drain leaves less than a batch behind, so each crossing is seen
+	// exactly once); anything below it rides the FlushInterval ticker.
 	kick := a.count == a.cfg.BatchSize
 	a.mu.Unlock()
 	if kick {
@@ -259,12 +260,16 @@ func (a *Agent) enqueue(ev export.Event) {
 // scratch. The returned slice (and the payloads its events point into) is
 // valid until the next takeBatch call — the sender finishes shipping each
 // batch before taking the next, so nothing is ever shipped twice.
-func (a *Agent) takeBatch() []export.Event {
+//
+// A partial batch (fewer than BatchSize events buffered) is taken only when
+// partial is set. seen is the enqueue count at the moment of the take, for
+// drain to tell afterwards whether the stream kept producing.
+func (a *Agent) takeBatch(partial bool) (events []export.Event, seen uint64) {
 	a.mu.Lock()
-	n := a.count
-	if n == 0 {
+	n, seen := a.count, a.enqueued
+	if n == 0 || !partial && n < a.cfg.BatchSize {
 		a.mu.Unlock()
-		return nil
+		return nil, seen
 	}
 	if n > a.cfg.BatchSize {
 		n = a.cfg.BatchSize
@@ -292,7 +297,7 @@ func (a *Agent) takeBatch() []export.Event {
 		out = append(out, slots[i].event())
 	}
 	a.shipEvents = out
-	return out
+	return out, seen
 }
 
 func (a *Agent) run() {
@@ -303,24 +308,36 @@ func (a *Agent) run() {
 		select {
 		case <-a.done:
 			if !a.killed.Load() {
-				a.drain()
+				a.drain(true)
 			}
 			return
 		case <-tick.C:
+			a.drain(true)
 		case <-a.kick:
+			a.drain(false)
 		}
-		a.drain()
 	}
 }
 
-// drain ships everything currently buffered.
-func (a *Agent) drain() {
+// drain ships what is buffered, a BatchSize at a time. The remainder below
+// BatchSize goes out too when partial is set (the flush tick, shutdown), or
+// when nothing was enqueued while the previous shipment was in flight: that
+// is the tail of a burst, and nothing else would ship it before the next
+// tick. A remainder that is still growing is left to reach BatchSize — and
+// its own kick — by itself, so a live stream is cut at BatchSize however
+// fast the aggregator answers, not at whatever piled up during one round
+// trip.
+func (a *Agent) drain(partial bool) {
 	for {
-		events := a.takeBatch()
+		events, seen := a.takeBatch(partial)
 		if len(events) == 0 {
 			return
 		}
 		a.ship(events)
+		a.mu.Lock()
+		quiet := a.enqueued == seen
+		a.mu.Unlock()
+		partial = partial || quiet
 	}
 }
 

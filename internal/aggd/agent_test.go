@@ -177,3 +177,76 @@ func TestAgentCloseFlushes(t *testing.T) {
 		t.Fatal("post-Close publish not counted as dropped")
 	}
 }
+
+// TestAgentCutsLiveStreamAtBatchSize pins how the sender cuts shipments
+// when events keep arriving while one is in flight: the remainder is left
+// to fill up to BatchSize rather than shipped at whatever size one round
+// trip let it reach, while the tail of a burst — nothing more arrived
+// behind it — still ships at once. The handler holds each shipment until
+// the test releases it, so "during the round trip" is exact, not timed.
+func TestAgentCutsLiveStreamAtBatchSize(t *testing.T) {
+	const batch = 8
+	srv := NewServer(ServerConfig{})
+	handler := srv.Handler()
+	arrived := make(chan struct{}, 16)
+	release := make(chan struct{}, 16)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		<-release
+		handler.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	agent, err := NewAgent(AgentConfig{
+		URL: ts.URL, Job: "j1", Node: "node-a", Rank: 0,
+		BatchSize: batch, FlushInterval: time.Hour, // only kicks flush
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream export.Stream
+	agent.Attach(&stream)
+	next := 0
+	publish := func(n int) {
+		for ; n > 0; n-- {
+			stream.Publish(lwpEvent(float64(next), 100, uint64(next)))
+			next++
+		}
+	}
+	shipped := func(batches, events uint64) {
+		t.Helper()
+		waitFor(t, "the shipment to be admitted", func() bool { return srv.ingestBatches.Load() == batches })
+		if got := srv.ingestEvents.Load(); got != events {
+			t.Fatalf("after %d shipments the server holds %d events, want %d", batches, got, events)
+		}
+	}
+
+	// A live stream: 3 events arrive while the first shipment is in flight.
+	// They must not go out as a 3-event shipment when it returns...
+	publish(batch)
+	<-arrived
+	publish(3)
+	release <- struct{}{}
+	shipped(1, batch)
+	// ...but as part of the full batch the next 5 complete.
+	publish(batch - 3)
+	<-arrived
+	// A burst: a batch and a half arrive during that shipment, then nothing.
+	// The full batch ships; nothing arrived behind it, so the tail follows.
+	publish(batch + batch/2)
+	release <- struct{}{}
+	shipped(2, 2*batch)
+	<-arrived
+	release <- struct{}{}
+	shipped(3, 3*batch)
+	<-arrived
+	release <- struct{}{}
+	shipped(4, 3*batch+batch/2)
+
+	if err := agent.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := agent.Stats(); st.SentBatches != 4 || st.SentEvents != uint64(next) || agent.Dropped() != 0 {
+		t.Fatalf("stats: %+v dropped=%d, want 4 batches carrying all %d events", st, agent.Dropped(), next)
+	}
+}

@@ -122,7 +122,7 @@ func (s *Server) queryParams(r *http.Request, job string) (tsdb.QueryOpts, error
 	if ok {
 		opts.End = tsdb.TimeToNanos(end)
 	} else {
-		opts.End = s.store.JobStats(job).MaxTimeNanos + 1
+		opts.End = s.store.MaxTime(job) + 1
 	}
 	step, ok, err := secParam("step")
 	if err != nil {
@@ -138,8 +138,136 @@ func (s *Server) queryParams(r *http.Request, job string) (tsdb.QueryOpts, error
 	return opts, err
 }
 
-func ident(key tsdb.SeriesKey) SeriesIdent {
-	return SeriesIdent{Node: key.Node, Rank: key.Rank, TID: key.TID}
+// The three views render straight from the store's results through
+// jsonWriter. The response types above document the shape (and are what
+// clients decode into); the renderers below must stay byte-for-byte what
+// writeJSON would make of them, which the differential test pins.
+
+// viewHeader opens the document with the members every view starts with.
+func viewHeader(jw *jsonWriter, job string, opts tsdb.QueryOpts) {
+	jw.open('{')
+	jw.strField("job", job)
+	jw.strField("metric", opts.Metric)
+	jw.strField("agg", opts.Agg.String())
+}
+
+// viewWindow appends start_sec and end_sec.
+func viewWindow(jw *jsonWriter, opts tsdb.QueryOpts) {
+	jw.floatField("start_sec", tsdb.NanosToSec(opts.Start))
+	jw.floatField("end_sec", tsdb.NanosToSec(opts.End))
+}
+
+// viewIdent appends a SeriesIdent's members to the open object.
+func viewIdent(jw *jsonWriter, key tsdb.SeriesKey) {
+	jw.strField("node", key.Node)
+	jw.intField("rank", key.Rank)
+	jw.intField("tid", key.TID)
+}
+
+// renderQuery is QueryResponse's body.
+func renderQuery(job string, opts tsdb.QueryOpts, series []tsdb.SeriesResult) ([]byte, error) {
+	points := 0
+	for i := range series {
+		points += len(series[i].Points)
+	}
+	// A point is two short floats on five indented lines, a series four
+	// header lines: sized so typical bodies never regrow the buffer.
+	jw := &jsonWriter{buf: make([]byte, 0, 256+96*len(series)+80*points)}
+	viewHeader(jw, job, opts)
+	viewWindow(jw, opts)
+	jw.floatField("step_sec", tsdb.NanosToSec(opts.Step))
+	jw.key("series")
+	jw.open('[')
+	for i := range series {
+		sr := &series[i]
+		jw.elem()
+		jw.open('{')
+		viewIdent(jw, sr.Key)
+		jw.key("points")
+		jw.open('[')
+		for _, p := range sr.Points {
+			jw.elem()
+			jw.open('{')
+			jw.floatField("t", p.Sec())
+			jw.floatField("v", p.V)
+			jw.close('}')
+		}
+		jw.close(']')
+		jw.close('}')
+	}
+	jw.close(']')
+	jw.close('}')
+	return jw.finish()
+}
+
+// renderHeatmap is TSDBHeatmapResponse's body; cells without samples (NaN
+// in the store's matrix) render as null.
+func renderHeatmap(job string, opts tsdb.QueryOpts, hm *tsdb.HeatmapResult) ([]byte, error) {
+	jw := &jsonWriter{buf: make([]byte, 0, 256+(96+32*int(hm.Buckets))*len(hm.Rows))}
+	viewHeader(jw, job, opts)
+	viewWindow(jw, opts)
+	jw.floatField("step_sec", tsdb.NanosToSec(opts.Step))
+	jw.key("rows")
+	jw.open('[')
+	for _, key := range hm.Rows {
+		jw.elem()
+		jw.open('{')
+		viewIdent(jw, key)
+		jw.close('}')
+	}
+	jw.close(']')
+	jw.key("values")
+	jw.open('[')
+	for _, row := range hm.Values {
+		jw.elem()
+		jw.open('[')
+		for _, v := range row {
+			jw.elem()
+			if math.IsNaN(v) {
+				jw.null()
+			} else {
+				jw.float(v)
+			}
+		}
+		jw.close(']')
+	}
+	jw.close(']')
+	jw.close('}')
+	return jw.finish()
+}
+
+// renderTopK is TopKResponse's body.
+func renderTopK(job string, opts tsdb.QueryOpts, k int, top []tsdb.TopEntry) ([]byte, error) {
+	jw := &jsonWriter{buf: make([]byte, 0, 256+128*len(top))}
+	viewHeader(jw, job, opts)
+	jw.intField("k", k)
+	viewWindow(jw, opts)
+	jw.key("entries")
+	jw.open('[')
+	for _, e := range top {
+		jw.elem()
+		jw.open('{')
+		viewIdent(jw, e.Key)
+		jw.floatField("value", e.Value)
+		jw.close('}')
+	}
+	jw.close(']')
+	jw.close('}')
+	return jw.finish()
+}
+
+// writeRendered sends a body one of the renderers above produced. A render
+// error means a value JSON cannot carry (an infinite or NaN sample); like a
+// failed write it is counted, and the client gets the empty body writeJSON
+// would have left it with.
+func (s *Server) writeRendered(w http.ResponseWriter, body []byte, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	if err == nil {
+		_, err = w.Write(body)
+	}
+	if err != nil {
+		s.writeErrors.Add(1)
+	}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -158,21 +286,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "aggd: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp := QueryResponse{
-		Job: id, Metric: opts.Metric, Agg: opts.Agg.String(),
-		StartSec: tsdb.NanosToSec(opts.Start),
-		EndSec:   tsdb.NanosToSec(opts.End),
-		StepSec:  tsdb.NanosToSec(opts.Step),
-		Series:   make([]QuerySeries, 0, len(series)),
-	}
-	for _, sr := range series {
-		qs := QuerySeries{SeriesIdent: ident(sr.Key), Points: make([]QueryPoint, len(sr.Points))}
-		for i, p := range sr.Points {
-			qs.Points[i] = QueryPoint{TimeSec: p.Sec(), Value: p.V}
-		}
-		resp.Series = append(resp.Series, qs)
-	}
-	s.writeJSON(w, resp)
+	body, err := renderQuery(id, opts, series)
+	s.writeRendered(w, body, err)
 }
 
 // handleTSDBHeatmap serves /api/job/{id}/heatmap?metric=…, the windowed
@@ -202,25 +317,8 @@ func (s *Server) handleTSDBHeatmap(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "aggd: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp := TSDBHeatmapResponse{
-		Job: id, Metric: opts.Metric, Agg: opts.Agg.String(),
-		StartSec: tsdb.NanosToSec(opts.Start),
-		EndSec:   tsdb.NanosToSec(opts.End),
-		StepSec:  tsdb.NanosToSec(opts.Step),
-		Rows:     make([]SeriesIdent, len(hm.Rows)),
-		Values:   make([][]*float64, len(hm.Rows)),
-	}
-	for i, key := range hm.Rows {
-		resp.Rows[i] = ident(key)
-		row := make([]*float64, len(hm.Values[i]))
-		for j := range hm.Values[i] {
-			if v := hm.Values[i][j]; !math.IsNaN(v) {
-				row[j] = &hm.Values[i][j]
-			}
-		}
-		resp.Values[i] = row
-	}
-	s.writeJSON(w, resp)
+	body, err := renderHeatmap(id, opts, hm)
+	s.writeRendered(w, body, err)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -246,16 +344,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "aggd: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp := TopKResponse{
-		Job: id, Metric: opts.Metric, Agg: opts.Agg.String(), K: k,
-		StartSec: tsdb.NanosToSec(opts.Start),
-		EndSec:   tsdb.NanosToSec(opts.End),
-		Entries:  make([]TopKEntry, len(top)),
-	}
-	for i, e := range top {
-		resp.Entries[i] = TopKEntry{SeriesIdent: ident(e.Key), Value: e.Value}
-	}
-	s.writeJSON(w, resp)
+	body, err := renderTopK(id, opts, k, top)
+	s.writeRendered(w, body, err)
 }
 
 // handleTSDBDump streams the job's entire compressed block set — the ZSTB

@@ -1,6 +1,10 @@
 package tsdb
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+	"math/bits"
+)
 
 // bitWriter packs bits most-significant-first into a byte slice. It is the
 // substrate of the Gorilla codec: every append writes a handful of bits, so
@@ -56,63 +60,92 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 		v <<= 8
 		n -= 8
 	}
-	for n > 0 {
-		w.writeBit(byte(v >> 63))
-		v <<= 1
-		n--
+	if n == 0 {
+		return
 	}
+	// The remaining 1..7 bits sit left-aligned in b with zeros below them,
+	// so they land with at most two stores: the part that fits the final
+	// byte's free bits, and the spill into a fresh byte.
+	b, k := byte(v>>56), uint8(n)
+	if w.free == 0 {
+		w.buf = append(w.buf, b)
+		w.free = 8 - k
+		return
+	}
+	w.buf[len(w.buf)-1] |= b >> (8 - w.free)
+	if k <= w.free {
+		w.free -= k
+		return
+	}
+	w.buf = append(w.buf, b<<w.free)
+	w.free += 8 - k
 }
 
 // errShortChunk reports a bitstream that ended before its declared sample
 // count was decoded — the decoder's over-read guard on corrupt chunks.
 var errShortChunk = errors.New("tsdb: chunk bitstream shorter than its sample count")
 
-// bitReader consumes a bitWriter stream. Reads past the end return
-// errShortChunk instead of panicking, which is what the block fuzzer leans
-// on: a corrupt sample count can never walk the reader off its buffer.
+// bitReader consumes a bitWriter stream a 64-bit word at a time. Reads past
+// the end return errShortChunk instead of panicking, which is what the
+// block fuzzer leans on: a corrupt sample count can never walk the reader
+// off its buffer.
 type bitReader struct {
-	buf  []byte
-	off  int   // next byte
-	used uint8 // bits already consumed from buf[off]
+	buf []byte
+	pos int // next bit, counted from the start of buf
 }
 
 func (r *bitReader) init(buf []byte) {
 	r.buf = buf
-	r.off = 0
-	r.used = 0
+	r.pos = 0
 }
 
-func (r *bitReader) readBit() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, errShortChunk
+// peek returns the next 64 bits of the stream left-aligned, zero-padded
+// past the end of the buffer, without consuming them.
+//
+//zerosum:hotpath
+func (r *bitReader) peek() uint64 {
+	i, sh := r.pos>>3, uint(r.pos&7)
+	if i+9 <= len(r.buf) {
+		// One big-endian word plus the byte the bit offset spills into
+		// (a shift by 8 when sh is 0 drops that byte again).
+		return binary.BigEndian.Uint64(r.buf[i:])<<sh | uint64(r.buf[i+8])>>(8-sh)
 	}
-	b := (r.buf[r.off] >> (7 - r.used)) & 1
-	r.used++
-	if r.used == 8 {
-		r.used = 0
-		r.off++
+	// Fewer than nine bytes left: gather the tail byte by byte.
+	var w uint64
+	for k, b := range r.buf[i:] {
+		w |= uint64(b) << (56 - 8*uint(k))
 	}
-	return b, nil
+	return w << sh
 }
 
 // readBits reads n bits (1..64), most significant first.
+//
+//zerosum:hotpath
 func (r *bitReader) readBits(n uint) (uint64, error) {
-	var v uint64
-	for n >= 8 && r.used == 0 {
-		if r.off >= len(r.buf) {
-			return 0, errShortChunk
-		}
-		v = v<<8 | uint64(r.buf[r.off])
-		r.off++
-		n -= 8
+	if r.pos+int(n) > len(r.buf)*8 {
+		return 0, errShortChunk
 	}
-	for n > 0 {
-		bit, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(bit)
-		n--
-	}
+	v := r.peek() >> (64 - n)
+	r.pos += int(n)
 	return v, nil
+}
+
+// readUnary reads the codec's selector prefix: a run of up to max 1-bits
+// closed by a 0-bit, which is omitted when the run reaches max. It returns
+// the length of the run.
+//
+//zerosum:hotpath
+func (r *bitReader) readUnary(max int) (int, error) {
+	ones := bits.LeadingZeros64(^r.peek())
+	n := ones + 1
+	if ones >= max {
+		ones, n = max, max
+	}
+	// peek pads with zeros, so a run cut off by the end of the buffer looks
+	// closed; the length check catches it.
+	if r.pos+n > len(r.buf)*8 {
+		return 0, errShortChunk
+	}
+	r.pos += n
+	return ones, nil
 }

@@ -75,20 +75,32 @@ func (c *chunk) seal(ds int64) {
 	if c.count == 0 {
 		return
 	}
-	// Stragglers can land out of bucket order inside one chunk, so
-	// accumulate in a map and sort the survivors.
-	acc := make(map[int64]*Rollup)
+	// Samples arrive in bucket order except for stragglers, so the rollups
+	// build as a sorted slice: a sample nearly always lands in the last
+	// rollup or opens the next one, and a straggler's bucket is found (or
+	// inserted in place) by walking back from the end.
+	n := floorDiv(c.tMax, ds) - floorDiv(c.tMin, ds) + 1
+	if n <= 0 || n > int64(c.count) {
+		n = int64(c.count)
+	}
+	c.rollups = make([]Rollup, 0, n)
 	var it gIter
 	it.init(c.w.bytes(), c.count)
 	for it.Next() {
 		t, v := it.At()
 		bucket := floorDiv(t, ds) * ds
-		r := acc[bucket]
-		if r == nil {
-			r = &Rollup{Bucket: bucket, Min: v, Max: v,
-				First: v, Last: v, FirstT: t, LastT: t}
-			acc[bucket] = r
+		i := len(c.rollups)
+		for i > 0 && c.rollups[i-1].Bucket > bucket {
+			i--
 		}
+		if i == 0 || c.rollups[i-1].Bucket != bucket {
+			c.rollups = append(c.rollups, Rollup{})
+			copy(c.rollups[i+1:], c.rollups[i:])
+			c.rollups[i] = Rollup{Bucket: bucket, Min: v, Max: v,
+				First: v, Last: v, FirstT: t, LastT: t}
+			i++
+		}
+		r := &c.rollups[i-1]
 		r.Count++
 		r.Sum += v
 		if v < r.Min {
@@ -107,19 +119,4 @@ func (c *chunk) seal(ds int64) {
 	// The chunk encoded its own samples; decoding them back cannot fail.
 	// (A decode error here would mean a writer bug, not bad input — the
 	// rollups just come out shorter, and queries fall back to raw decode.)
-	c.rollups = make([]Rollup, 0, len(acc))
-	for _, r := range acc {
-		c.rollups = append(c.rollups, *r)
-	}
-	sortRollups(c.rollups)
-}
-
-func sortRollups(rs []Rollup) {
-	// Insertion sort: rollup lists are short (block/downsample buckets,
-	// 12 at the defaults) and usually already ordered.
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Bucket < rs[j-1].Bucket; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }

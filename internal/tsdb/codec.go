@@ -128,6 +128,8 @@ func (it *gIter) init(data []byte, count int) {
 
 // Next advances to the next sample; false at the end of the stream or on a
 // corrupt bitstream (check Err).
+//
+//zerosum:hotpath
 func (it *gIter) Next() bool {
 	if it.err != nil || it.i >= it.n {
 		return false
@@ -155,22 +157,20 @@ func (it *gIter) Next() bool {
 	return true
 }
 
+// dodWidths maps the timestamp selector's run of 1-bits to the width of
+// the zigzagged dod that follows ('0' carries none).
+var dodWidths = [...]uint{0, 14, 24, 40, 64}
+
+//zerosum:hotpath
 func (it *gIter) next() error {
 	// Timestamp: unary bucket selector, then the zigzagged dod.
-	var width uint
-	for i := 0; i < 4; i++ {
-		b, err := it.r.readBit()
-		if err != nil {
-			return err
-		}
-		if b == 0 {
-			break
-		}
-		width = [...]uint{14, 24, 40, 64}[i]
+	sel, err := it.r.readUnary(4)
+	if err != nil {
+		return err
 	}
 	var dod int64
-	if width > 0 {
-		zz, err := it.r.readBits(width)
+	if sel > 0 {
+		zz, err := it.r.readBits(dodWidths[sel])
 		if err != nil {
 			return err
 		}
@@ -180,33 +180,29 @@ func (it *gIter) next() error {
 	it.st.t += it.st.tDelta
 
 	// Value: '0' same, '10' prior window, '11' new window.
-	b, err := it.r.readBit()
+	ctl, err := it.r.readUnary(2)
 	if err != nil {
 		return err
 	}
-	if b == 0 {
+	switch ctl {
+	case 0:
 		return nil
-	}
-	if b, err = it.r.readBit(); err != nil {
-		return err
-	}
-	if b == 1 {
-		lead, err := it.r.readBits(5)
+	case 1:
+		if it.st.leading == noWindow {
+			return errShortChunk // window reuse before any window was declared
+		}
+	default:
+		// 5 bits of leading-zero count, then 6 bits of window length - 1.
+		hdr, err := it.r.readBits(11)
 		if err != nil {
 			return err
 		}
-		sigM1, err := it.r.readBits(6)
-		if err != nil {
-			return err
-		}
-		sig := uint8(sigM1) + 1
-		if uint(lead)+uint(sig) > 64 {
+		lead, sig := uint8(hdr>>6), uint8(hdr&63)+1
+		if lead+sig > 64 {
 			return errShortChunk // impossible window: corrupt stream
 		}
-		it.st.leading = uint8(lead)
-		it.st.trailing = 64 - uint8(lead) - sig
-	} else if it.st.leading == noWindow {
-		return errShortChunk // window reuse before any window was declared
+		it.st.leading = lead
+		it.st.trailing = 64 - lead - sig
 	}
 	sig := uint(64 - it.st.leading - it.st.trailing)
 	xor, err := it.r.readBits(sig)

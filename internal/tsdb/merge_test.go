@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -39,7 +40,7 @@ func bucketize(ds int64, pts []Point) []Rollup {
 	for _, r := range acc {
 		out = append(out, *r)
 	}
-	sortRollups(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Bucket < out[j].Bucket })
 	return out
 }
 

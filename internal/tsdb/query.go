@@ -21,9 +21,10 @@ const (
 	AggDelta // last - first: the rate numerator for cumulative counters
 )
 
-var aggNames = map[string]AggKind{
-	"mean": AggMean, "min": AggMin, "max": AggMax, "sum": AggSum,
-	"count": AggCount, "last": AggLast, "delta": AggDelta,
+// aggNames is indexed by kind; ParseAgg and String both read it.
+var aggNames = [...]string{
+	AggMean: "mean", AggMin: "min", AggMax: "max", AggSum: "sum",
+	AggCount: "count", AggLast: "last", AggDelta: "delta",
 }
 
 // ParseAgg resolves an aggregation name ("" means mean).
@@ -31,21 +32,20 @@ func ParseAgg(s string) (AggKind, error) {
 	if s == "" {
 		return AggMean, nil
 	}
-	k, ok := aggNames[s]
-	if !ok {
-		return 0, fmt.Errorf("tsdb: unknown aggregation %q (want mean|min|max|sum|count|last|delta)", s)
+	for k, name := range aggNames {
+		if name == s {
+			return AggKind(k), nil
+		}
 	}
-	return k, nil
+	return 0, fmt.Errorf("tsdb: unknown aggregation %q (want mean|min|max|sum|count|last|delta)", s)
 }
 
 // String names the aggregation for response rendering.
 func (k AggKind) String() string {
-	for name, v := range aggNames {
-		if v == k {
-			return name
-		}
+	if k < 0 || int(k) >= len(aggNames) {
+		return "mean"
 	}
-	return "mean"
+	return aggNames[k]
 }
 
 // maxQueryBuckets bounds one query's bucket allocation so a tiny step over
@@ -67,9 +67,10 @@ type QueryOpts struct {
 	Agg  AggKind
 }
 
+// matches checks the label selectors; the metric is selected by the
+// shards' byMetric index before a key gets here.
 func (o QueryOpts) matches(key SeriesKey) bool {
-	return key.Metric == o.Metric &&
-		(o.Node == "" || key.Node == o.Node) &&
+	return (o.Node == "" || key.Node == o.Node) &&
 		(o.Rank < 0 || key.Rank == o.Rank) &&
 		(o.TID < 0 || key.TID == o.TID)
 }
@@ -103,9 +104,11 @@ type SeriesResult struct {
 // Query evaluates opts over one job. Raw queries (Step == 0) return
 // time-sorted samples inside the window; stepped queries return one point
 // per non-empty bucket, stamped with the bucket start. Results are sorted
-// by (rank, node, tid). Only chunks overlapping the window are read, and
-// sealed chunks are folded from their rollups whenever the step grid
-// aligns with the downsample grid — the compressed bitstream stays
+// by (rank, node, tid). Only the series of opts.Metric are visited (each
+// shard indexes its series by metric), only the owning shard is locked when
+// both node and rank are given, only chunks overlapping the window are
+// read, and sealed chunks are folded from their rollups whenever the step
+// grid aligns with the downsample grid — the compressed bitstream stays
 // untouched for those.
 func (st *Store) Query(job string, opts QueryOpts) ([]SeriesResult, error) {
 	nBuckets, err := opts.validate()
@@ -116,20 +119,18 @@ func (st *Store) Query(job string, opts QueryOpts) ([]SeriesResult, error) {
 	if db == nil {
 		return nil, nil
 	}
-	var out []SeriesResult
 	ds := int64(st.opts.Downsample)
-	//zerosum:locked seriesShard.mu eachShard holds the shard lock around fn
-	db.eachShard(func(sh *seriesShard) {
-		for key, s := range sh.series {
-			if !opts.matches(key) {
-				continue
-			}
-			pts := evalSeries(s, opts, nBuckets, ds)
-			if len(pts) > 0 {
-				out = append(out, SeriesResult{Key: key, Points: pts})
-			}
+	ev := evaluator{opts: opts,
+		rollupOK: opts.Step%ds == 0 && opts.Start%ds == 0,
+		buckets:  make([]bucketAcc, nBuckets)}
+	var out []SeriesResult
+	if opts.Node != "" && opts.Rank >= 0 {
+		out = ev.evalShard(db.shardForOrigin(opts.Node, opts.Rank), out)
+	} else {
+		for i := range db.shards {
+			out = ev.evalShard(&db.shards[i], out)
 		}
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key, out[j].Key) })
 	return out, nil
 }
@@ -223,47 +224,91 @@ func (b *bucketAcc) value(agg AggKind) float64 {
 	}
 }
 
-// evalSeries answers opts for one series. The caller holds the shard lock,
-// so the head chunk is stable; sealed chunks are immutable anyway.
-func evalSeries(s *Series, opts QueryOpts, nBuckets int64, ds int64) []Point {
-	if opts.Step == 0 {
-		return evalRaw(s, opts)
-	}
-	buckets := make([]bucketAcc, nBuckets)
-	rollupOK := opts.Step%ds == 0 && opts.Start%ds == 0
-	s.chunks(func(c *chunk) {
-		if !c.overlaps(opts.Start, opts.End) {
-			return
-		}
-		// Rollup fast path: every rollup bucket nests inside exactly one
-		// step bucket when the grids align and the chunk sits fully inside
-		// the window; otherwise decode the overlap.
-		if rollupOK && c.sealed && c.rollups != nil &&
-			c.tMin >= opts.Start && c.tMax < opts.End {
-			for i := range c.rollups {
-				r := &c.rollups[i]
-				buckets[(r.Bucket-opts.Start)/opts.Step].addRollup(r)
-			}
-			return
-		}
-		var it gIter
-		it.init(c.w.bytes(), c.count)
-		for it.Next() {
-			t, v := it.At()
-			if t < opts.Start || t >= opts.End {
-				continue
-			}
-			buckets[(t-opts.Start)/opts.Step].addSample(t, v)
-		}
-	})
-	var pts []Point
-	for i := range buckets {
-		if buckets[i].count == 0 {
+// evaluator is one query's resolved options plus the scratch it reuses
+// across every series it visits.
+type evaluator struct {
+	opts     QueryOpts
+	rollupOK bool        // the step grid nests the downsample grid
+	buckets  []bucketAcc // one per step bucket; cleared per series
+}
+
+// evalShard appends the shard's matching series to out. It holds the
+// shard's lock — the one ingest appends under — for as long as the series
+// of the queried metric take to evaluate, and no longer.
+func (ev *evaluator) evalShard(sh *seriesShard, out []SeriesResult) []SeriesResult {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, s := range sh.byMetric[ev.opts.Metric] {
+		if !ev.opts.matches(s.Key) {
 			continue
 		}
-		pts = append(pts, Point{T: opts.Start + int64(i)*opts.Step, V: buckets[i].value(opts.Agg)})
+		if pts := ev.evalSeries(s); len(pts) > 0 {
+			out = append(out, SeriesResult{Key: s.Key, Points: pts})
+		}
+	}
+	return out
+}
+
+// evalSeries answers the query for one series. The caller holds the shard
+// lock, so the head chunk is stable; sealed chunks are immutable anyway.
+//
+//zerosum:hotpath
+func (ev *evaluator) evalSeries(s *Series) []Point {
+	if ev.opts.Step == 0 {
+		return evalRaw(s, ev.opts)
+	}
+	clear(ev.buckets)
+	for _, c := range s.sealed {
+		ev.foldChunk(c)
+	}
+	if s.head != nil {
+		ev.foldChunk(s.head)
+	}
+	n := 0
+	for i := range ev.buckets {
+		if ev.buckets[i].count > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	pts := make([]Point, 0, n)
+	for i := range ev.buckets {
+		if b := &ev.buckets[i]; b.count > 0 {
+			pts = append(pts, Point{T: ev.opts.Start + int64(i)*ev.opts.Step, V: b.value(ev.opts.Agg)})
+		}
 	}
 	return pts
+}
+
+// foldChunk adds the chunk's samples inside the window to the step buckets.
+//
+//zerosum:hotpath
+func (ev *evaluator) foldChunk(c *chunk) {
+	start, end, step := ev.opts.Start, ev.opts.End, ev.opts.Step
+	if !c.overlaps(start, end) {
+		return
+	}
+	// Rollup fast path: every rollup bucket nests inside exactly one step
+	// bucket when the grids align and the chunk sits fully inside the
+	// window; otherwise decode the overlap.
+	if ev.rollupOK && c.sealed && c.rollups != nil && c.tMin >= start && c.tMax < end {
+		for i := range c.rollups {
+			r := &c.rollups[i]
+			ev.buckets[(r.Bucket-start)/step].addRollup(r)
+		}
+		return
+	}
+	var it gIter
+	it.init(c.w.bytes(), c.count)
+	for it.Next() {
+		t, v := it.At()
+		if t < start || t >= end {
+			continue
+		}
+		ev.buckets[(t-start)/step].addSample(t, v)
+	}
 }
 
 func evalRaw(s *Series, opts QueryOpts) []Point {

@@ -329,7 +329,16 @@ func TestTopK(t *testing.T) {
 }
 
 func TestParseAgg(t *testing.T) {
-	for name, want := range aggNames {
+	// The names are part of the HTTP API, so the test spells them out
+	// rather than reading them back from the table under test.
+	names := map[string]AggKind{
+		"mean": AggMean, "min": AggMin, "max": AggMax, "sum": AggSum,
+		"count": AggCount, "last": AggLast, "delta": AggDelta,
+	}
+	if len(names) != len(aggNames) {
+		t.Fatalf("aggNames has %d entries, the API documents %d", len(aggNames), len(names))
+	}
+	for name, want := range names {
 		got, err := ParseAgg(name)
 		if err != nil || got != want {
 			t.Fatalf("ParseAgg(%q) = %v, %v", name, got, err)
@@ -343,5 +352,10 @@ func TestParseAgg(t *testing.T) {
 	}
 	if _, err := ParseAgg("median"); err == nil {
 		t.Fatal("unknown agg accepted")
+	}
+	for _, k := range []AggKind{-1, AggKind(len(aggNames))} {
+		if got := k.String(); got != "mean" {
+			t.Fatalf("out-of-range kind %d renders %q, want the default %q", k, got, "mean")
+		}
 	}
 }

@@ -37,6 +37,10 @@ type jobDB struct {
 type seriesShard struct {
 	mu     sync.Mutex
 	series map[SeriesKey]*Series //zerosum:guardedby mu
+	// byMetric lists the same series under their metric name, in creation
+	// order: the read path's index, so a query visits the series of the
+	// metric it asks for and none of the shard's others.
+	byMetric map[string][]*Series //zerosum:guardedby mu
 }
 
 type snapKey struct {
@@ -174,9 +178,11 @@ func (a *BatchAppender) Resolve(key SeriesKey) *Series {
 	if s == nil {
 		s = &Series{Key: key}
 		if a.sh.series == nil { //zerosum:nolock BeginBatch acquired the shard lock
-			a.sh.series = make(map[SeriesKey]*Series) //zerosum:nolock BeginBatch acquired the shard lock
+			a.sh.series = make(map[SeriesKey]*Series)  //zerosum:nolock BeginBatch acquired the shard lock
+			a.sh.byMetric = make(map[string][]*Series) //zerosum:nolock BeginBatch acquired the shard lock
 		}
-		a.sh.series[key] = s //zerosum:nolock BeginBatch acquired the shard lock
+		a.sh.series[key] = s                                             //zerosum:nolock BeginBatch acquired the shard lock
+		a.sh.byMetric[key.Metric] = append(a.sh.byMetric[key.Metric], s) //zerosum:nolock BeginBatch acquired the shard lock
 	}
 	return s
 }
@@ -322,7 +328,28 @@ func (st *Store) Jobs() []string {
 	return names
 }
 
+// MaxTime returns the newest sample time the job has seen, on the sample
+// clock (0 for an unknown job or one without samples). It reads one
+// atomic; JobStats reports the same value but walks every series to do it.
+func (st *Store) MaxTime(job string) int64 {
+	db := st.lookupJob(job)
+	if db == nil {
+		return 0
+	}
+	return db.newest()
+}
+
+// newest is the job's high-water timestamp, 0 before the first sample.
+func (db *jobDB) newest() int64 {
+	if max := db.maxT.Load(); max != minInt64 {
+		return max
+	}
+	return 0
+}
+
 // JobStats snapshots one job's accounting (zero value for unknown jobs).
+// It walks every series under the shard locks to count chunks and bytes;
+// callers that only need the newest timestamp use MaxTime.
 func (st *Store) JobStats(job string) JobStats {
 	var js JobStats
 	db := st.lookupJob(job)
@@ -332,9 +359,7 @@ func (st *Store) JobStats(job string) JobStats {
 	js.Samples = db.samples.Load()
 	js.EvictedChunks = db.evictedChunks.Load()
 	js.EvictedSamples = db.evictedSamples.Load()
-	if max := db.maxT.Load(); max != minInt64 {
-		js.MaxTimeNanos = max
-	}
+	js.MaxTimeNanos = db.newest()
 	js.Snapshots = st.SnapshotCount(job)
 	for i := range db.shards {
 		sh := &db.shards[i]

@@ -16,6 +16,8 @@
 // range queries over sealed data fold rollups without touching the
 // compressed bitstream, and queries only ever decompress chunks whose time
 // range overlaps the window — untouched series and blocks stay compressed.
+// Each shard also lists its series by metric, so a query visits the series
+// of the one metric it names, not every series of the job.
 // Retention (Options.Retention) evicts sealed chunks whose newest sample
 // has aged out of the per-job sample clock.
 //
