@@ -1,9 +1,7 @@
 package aggd
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sync"
@@ -13,7 +11,6 @@ import (
 	"zerosum/internal/core"
 	"zerosum/internal/export"
 	"zerosum/internal/obs"
-	"zerosum/internal/sim"
 )
 
 // AgentConfig tunes a node agent.
@@ -86,20 +83,6 @@ func (c AgentConfig) withDefaults() AgentConfig {
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 500 * time.Millisecond
 	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 5 * time.Second}
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -149,7 +132,6 @@ type Agent struct {
 	sendDrops   atomic.Uint64
 	sentBatches atomic.Uint64
 	sentEvents  atomic.Uint64
-	retries     atomic.Uint64
 	rehomes     atomic.Uint64
 
 	// Failover state. urls is the immutable endpoint list (cfg.URLs); cur
@@ -161,17 +143,11 @@ type Agent struct {
 	cur   atomic.Int32
 	epoch atomic.Uint64
 
-	seq    uint64 // sender-goroutine only
-	kick   chan struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
-	killed atomic.Bool
-
-	// jitterMu guards rng: post runs on the sender goroutine but also on
-	// whichever goroutine calls PushSnapshot.
-	jitterMu sync.Mutex
-	rng      *sim.RNG //zerosum:guardedby jitterMu
+	seq     uint64 // sender-goroutine only
+	kick    chan struct{}
+	wg      sync.WaitGroup
+	closed  atomic.Bool
+	shipper *shipper // stopped by whichever of Close and Kill wins closed
 }
 
 // NewAgent starts an agent and its sender goroutine.
@@ -183,12 +159,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Job == "" {
 		return nil, fmt.Errorf("aggd: AgentConfig.Job is required")
 	}
-	// Seed the backoff jitter from the stream identity so replaying a run
-	// replays the same delays; the exact values only need to differ across
-	// agents, not be unpredictable.
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, cfg.Job)  // hash.Hash Write never fails
-	_, _ = io.WriteString(h, cfg.Node) // hash.Hash Write never fails
 	a := &Agent{
 		cfg:         cfg,
 		urls:        cfg.URLs,
@@ -196,8 +166,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		slotScratch: make([]eventSlot, cfg.BatchSize),
 		shipEvents:  make([]export.Event, 0, cfg.BatchSize),
 		kick:        make(chan struct{}, 1),
-		done:        make(chan struct{}),
-		rng:         sim.NewRNG(h.Sum64() ^ uint64(cfg.Rank)<<32 ^ cfg.Epoch),
+		shipper: newShipper(cfg.Client, cfg.MaxRetries, cfg.BackoffBase, cfg.MaxBackoff, cfg.DisableGzip,
+			uint64(cfg.Rank)<<32^cfg.Epoch, cfg.Job, cfg.Node),
 	}
 	a.epoch.Store(cfg.Epoch)
 	a.wg.Add(1)
@@ -306,8 +276,8 @@ func (a *Agent) run() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-a.done:
-			if !a.killed.Load() {
+		case <-a.shipper.done:
+			if !a.shipper.killed.Load() {
 				a.drain(true)
 			}
 			return
@@ -357,7 +327,7 @@ func (a *Agent) ship(events []export.Event) {
 	}
 	a.frameBuf = frame
 	a.seq++
-	if err := a.post(a.currentURL(), frame); err != nil {
+	if err := a.shipper.post(a.currentURL(), frame); err != nil {
 		// The shipment is dropped, never re-sent elsewhere: the home may
 		// have applied it and lost only the ack, so resending it under a
 		// new epoch would double-merge. Conservation counts it lost, and
@@ -384,15 +354,13 @@ func (a *Agent) ship(events []export.Event) {
 // numbering at 0: the new home has no sequence state for this stream, and
 // an epoch bump is exactly how the dedup protocol says "numbering starts
 // over — not a replay". Sender goroutine only.
-//
-//zerosum:wallclock failover probing waits on real network latency, not sampled time
 func (a *Agent) rehome() {
 	if len(a.urls) <= 1 {
 		return
 	}
-	backoff := a.cfg.BackoffBase
-	for pass := 0; pass <= a.cfg.MaxRetries; pass++ {
-		if a.killed.Load() {
+	backoff := a.shipper.backoffBase
+	for pass := 0; pass <= a.shipper.maxRetries; pass++ {
+		if a.shipper.killed.Load() {
 			return
 		}
 		cur := int(a.cur.Load())
@@ -406,120 +374,21 @@ func (a *Agent) rehome() {
 				return
 			}
 		}
-		timer := time.NewTimer(a.jitter(backoff))
-		select {
-		case <-timer.C:
-		case <-a.done:
-			timer.Stop()
+		if !a.shipper.wait(&backoff) {
 			return
-		}
-		backoff *= 2
-		if backoff > a.cfg.MaxBackoff {
-			backoff = a.cfg.MaxBackoff
 		}
 	}
 }
 
 // healthy probes one endpoint's liveness.
 func (a *Agent) healthy(url string) bool {
-	resp, err := a.cfg.Client.Get(url + "/healthz")
+	resp, err := a.shipper.client.Get(url + "/healthz")
 	if err != nil {
 		return false
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	_ = resp.Body.Close()
 	return resp.StatusCode/100 == 2
-}
-
-// post sends one frame to url with gzip and retry-with-exponential-backoff.
-//
-//zerosum:wallclock retry backoff waits on real network latency, not sampled time
-func (a *Agent) post(url string, frame []byte) error {
-	body := frame
-	encoding := ""
-	if !a.cfg.DisableGzip {
-		// Pooled: post runs on the sender goroutine but also on whichever
-		// goroutine calls PushSnapshot, and a gzip.Writer plus its output
-		// buffer are far too expensive to rebuild per shipment.
-		z := gzPool.Get().(*gzScratch)
-		defer gzPool.Put(z)
-		z.buf.Reset()
-		z.zw.Reset(&z.buf)
-		if _, err := z.zw.Write(frame); err == nil && z.zw.Close() == nil {
-			body, encoding = z.buf.Bytes(), "gzip"
-		}
-	}
-	backoff := a.cfg.BackoffBase
-	maxRetries := a.cfg.MaxRetries
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if a.killed.Load() {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("aggd: agent killed")
-			}
-			return lastErr
-		}
-		err := a.attempt(url, body, encoding)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if attempt >= maxRetries {
-			return lastErr
-		}
-		a.retries.Add(1)
-		// Sleep the jittered backoff on a stoppable timer: a shutting-down
-		// agent must abandon the wait immediately instead of blocking Close
-		// behind the full (up to MaxBackoff) delay.
-		timer := time.NewTimer(a.jitter(backoff))
-		select {
-		case <-timer.C:
-		case <-a.done:
-			timer.Stop()
-			// Closing: the events ride one final immediate attempt so a
-			// graceful shutdown still flushes through a transient error,
-			// then the retry loop ends.
-			if maxRetries > attempt+1 {
-				maxRetries = attempt + 1
-			}
-		}
-		backoff *= 2
-		if backoff > a.cfg.MaxBackoff {
-			backoff = a.cfg.MaxBackoff
-		}
-	}
-}
-
-// attempt makes one ingest POST to url.
-func (a *Agent) attempt(url string, body []byte, encoding string) error {
-	req, err := http.NewRequest(http.MethodPost, url+"/api/ingest", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/x-zerosum-aggd")
-	if encoding != "" {
-		req.Header.Set("Content-Encoding", encoding)
-	}
-	resp, err := a.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	// Drain so the transport can reuse the connection; a failed drain only
-	// costs keep-alive, never data.
-	_, _ = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode/100 == 2 {
-		return nil
-	}
-	return fmt.Errorf("aggd: aggregator returned %s", resp.Status)
-}
-
-// jitter spreads a backoff delay uniformly across [d/2, d).
-func (a *Agent) jitter(d time.Duration) time.Duration {
-	a.jitterMu.Lock()
-	f := a.rng.Float64()
-	a.jitterMu.Unlock()
-	return d/2 + time.Duration(f*float64(d/2))
 }
 
 // PushSnapshot synchronously ships a rank's report snapshot and its
@@ -538,14 +407,14 @@ func (a *Agent) PushSnapshot(snap core.Snapshot, commRow map[int]uint64) error {
 		return err
 	}
 	cur := int(a.cur.Load())
-	if err = a.post(a.urls[cur], frame); err == nil {
+	if err = a.shipper.post(a.urls[cur], frame); err == nil {
 		return nil
 	}
 	for step := 1; step < len(a.urls); step++ {
-		if a.killed.Load() {
+		if a.shipper.killed.Load() {
 			return err
 		}
-		if a.attempt(a.urls[(cur+step)%len(a.urls)], frame, "") == nil {
+		if a.shipper.attempt(a.urls[(cur+step)%len(a.urls)], frame, "") == nil {
 			return nil
 		}
 	}
@@ -563,7 +432,7 @@ func (a *Agent) Stats() AgentStats {
 		SendDrops:   a.sendDrops.Load(),
 		SentBatches: a.sentBatches.Load(),
 		SentEvents:  a.sentEvents.Load(),
-		Retries:     a.retries.Load(),
+		Retries:     a.shipper.retries.Load(),
 		Rehomes:     a.rehomes.Load(),
 		Epoch:       a.epoch.Load(),
 	}
@@ -587,7 +456,7 @@ func (a *Agent) Close() error {
 	if a.closed.Swap(true) {
 		return nil
 	}
-	close(a.done)
+	a.shipper.stop(false)
 	a.wg.Wait()
 	return nil
 }
@@ -602,8 +471,7 @@ func (a *Agent) Kill() {
 	if a.closed.Swap(true) {
 		return
 	}
-	a.killed.Store(true)
-	close(a.done)
+	a.shipper.stop(true)
 	a.wg.Wait()
 	a.mu.Lock()
 	orphaned := a.count

@@ -3,6 +3,7 @@ package aggd
 import (
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,37 +115,32 @@ func TestAgentBackpressure(t *testing.T) {
 	}
 }
 
+// TestAgentRetriesThenSucceeds: a shipment answered 503 twice is retried
+// and lands on the third attempt, through either owner of a shipper.
 func TestAgentRetriesThenSucceeds(t *testing.T) {
-	var fails int32 = 2
-	srv := NewServer(ServerConfig{})
-	handler := srv.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if fails > 0 {
-			fails--
-			http.Error(w, "try later", http.StatusServiceUnavailable)
-			return
-		}
-		handler.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
+	for _, o := range shipOwners {
+		t.Run(o.name, func(t *testing.T) {
+			var fails atomic.Int32
+			fails.Store(2)
+			srv := NewServer(ServerConfig{})
+			handler := srv.Handler()
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if fails.Add(-1) >= 0 {
+					http.Error(w, "try later", http.StatusServiceUnavailable)
+					return
+				}
+				handler.ServeHTTP(w, r)
+			}))
+			defer ts.Close()
 
-	agent, err := NewAgent(AgentConfig{
-		URL: ts.URL, Job: "j1", Node: "node-a", Rank: 1,
-		BatchSize: 4, FlushInterval: 5 * time.Millisecond,
-		MaxRetries: 5, BackoffBase: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stream export.Stream
-	agent.Attach(&stream)
-	for i := 0; i < 4; i++ {
-		stream.Publish(lwpEvent(float64(i), 7, 0))
-	}
-	waitFor(t, "retried batch to land", func() bool { return srv.ingestEvents.Load() == 4 })
-	agent.Close()
-	if st := agent.Stats(); st.Retries == 0 || st.SentBatches != 1 {
-		t.Fatalf("stats: %+v", st)
+			own := o.start(t, ts.URL, 5, time.Millisecond, false)
+			own.send()
+			waitFor(t, "retried shipment to land", func() bool { return srv.ingestEvents.Load() == 4 })
+			own.close()
+			if b := own.books(); b != (shipBooks{retries: 2, delivered: 4}) {
+				t.Fatalf("books: %+v, want 2 retries and 4 events delivered", b)
+			}
+		})
 	}
 }
 

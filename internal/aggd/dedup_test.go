@@ -20,13 +20,43 @@ func mkBatch(epoch, seq uint64, n int) *Batch {
 	return b
 }
 
+// applyEncoded applies b the way handleIngest does: decoded from its own
+// FrameBatch payload, with that payload alongside for a leaf to relay.
+func applyEncoded(t testing.TB, s *Server, b *Batch) bool {
+	t.Helper()
+	frame, err := EncodeBatchFrame(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := frame[FrameHeaderLen:]
+	dec, err := DecodeBatchPayload(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.applyBatch(dec, payload)
+}
+
+// applyEncodedSnapshot is applyEncoded for a snapshot document.
+func applyEncodedSnapshot(t testing.TB, s *Server, msg *SnapshotMsg) {
+	t.Helper()
+	payload, err := encodeSnapshotPayload(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeSnapshotPayload(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.applySnapshot(dec, payload)
+}
+
 // TestServerDedupAndRecovery walks the sequence-accounting state machine
 // through every admission path: gap, late hole fill (the one path the soak's
 // serial sender can never produce), duplicate replay, agent restart into a
 // new epoch, and a straggler from the dead epoch.
 func TestServerDedupAndRecovery(t *testing.T) {
 	srv := NewServer(ServerConfig{})
-	apply := func(epoch, seq uint64) { srv.applyBatch(mkBatch(epoch, seq, 2)) }
+	apply := func(epoch, seq uint64) { applyEncoded(t, srv, mkBatch(epoch, seq, 2)) }
 
 	apply(1, 0) // first contact
 	apply(1, 2) // gap: seq 1 lost-until-proven-otherwise
@@ -200,40 +230,30 @@ func TestAgentKillConservation(t *testing.T) {
 }
 
 // TestAgentCloseCancelsBackoff: Close during a retry backoff must not wait
-// the backoff out — the sleeping sender wakes, takes one last shot, and
-// gives up. With multi-second backoffs configured, Close returning quickly
-// proves the timer was interrupted.
+// the backoff out — the sleeping sender wakes, takes exactly one last shot,
+// and gives up. With multi-second backoffs configured, Close returning
+// quickly proves the timer was interrupted. Checked through either owner
+// of a shipper.
 func TestAgentCloseCancelsBackoff(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		http.Error(w, "no", http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
+	for _, o := range shipOwners {
+		t.Run(o.name, func(t *testing.T) {
+			url, attempts := unavailable(t)
+			own := o.start(t, url, 8, 10*time.Second, false)
+			own.send()
+			// Let the sender hit the 503 and enter its first 10s backoff window.
+			waitFor(t, "first send attempt", func() bool { return own.books().retries >= 1 })
 
-	agent, err := NewAgent(AgentConfig{
-		URL: ts.URL, Job: "j", Node: "n", Rank: 0,
-		BatchSize: 4, FlushInterval: time.Millisecond,
-		MaxRetries: 8, BackoffBase: 10 * time.Second, MaxBackoff: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stream export.Stream
-	agent.Attach(&stream)
-	for i := 0; i < 4; i++ {
-		stream.Publish(export.Event{Kind: export.EventHeartbeat, TimeSec: float64(i)})
-	}
-	// Let the sender hit the 503 and enter its first 10s backoff window.
-	waitFor(t, "first send attempt", func() bool { return agent.Stats().Retries >= 1 })
-
-	start := time.Now()
-	if err := agent.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 3*time.Second {
-		t.Fatalf("Close took %v — backoff was not cancelled", d)
-	}
-	if st := agent.Stats(); st.SendDrops != 4 {
-		t.Fatalf("events not accounted after cancelled backoff: %+v", st)
+			start := time.Now()
+			own.close()
+			if d := time.Since(start); d > 3*time.Second {
+				t.Fatalf("Close took %v — backoff was not cancelled", d)
+			}
+			if n := attempts.Load(); n != 2 {
+				t.Fatalf("%d attempts reached the aggregator, want the first and one final", n)
+			}
+			if b := own.books(); b.dropped != 4 || b.delivered != 0 {
+				t.Fatalf("events not accounted after cancelled backoff: %+v", b)
+			}
+		})
 	}
 }

@@ -1,18 +1,13 @@
 package aggd
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"zerosum/internal/export"
 	"zerosum/internal/obs"
-	"zerosum/internal/sim"
 )
 
 // ForwardConfig tunes a leaf aggregator's upstream forwarder.
@@ -69,20 +64,6 @@ func (c ForwardConfig) withDefaults() ForwardConfig {
 	if c.EagerEvents > c.MaxBuffered {
 		c.EagerEvents = c.MaxBuffered
 	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 5 * time.Second}
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -97,10 +78,10 @@ func (c ForwardConfig) withDefaults() ForwardConfig {
 // (while running, events in the pending buffer are in neither bucket),
 // which the tree soak audits against the leaf server's admitted counts.
 type FwdStats struct {
-	EnqueuedEvents uint64 // admitted events handed to the forwarder
+	EnqueuedEvents uint64 // events in the admitted batches handed to the forwarder
 	AckedEvents    uint64 // events in rollups the parent acknowledged
-	DroppedEvents  uint64 // events lost to buffer overflow, failed shipments, or Kill
-	PendingEvents  uint64 // events currently buffered
+	DroppedEvents  uint64 // events in batches shed on overflow, in abandoned rollups, or pending at Kill
+	PendingEvents  uint64 // events in the batches currently buffered
 	SentRollups    uint64 // rollup frames acknowledged by the parent
 	DroppedRollups uint64 // rollup frames abandoned after exhausting retries
 	SentSnapshots  uint64 // snapshot documents shipped inside acked rollups
@@ -108,39 +89,67 @@ type FwdStats struct {
 	Epoch          uint64
 }
 
-// fwdBatch is one admitted agent batch waiting to ride upstream. It keeps
-// the original (origin, epoch, seq) identity so the parent's per-origin
-// dedup also covers the tree: a batch two leaf incarnations both admitted
-// (the agent's retry landed after a leaf restart) merges upstream exactly
-// once. Events are deep-copied into slots because the ingest arena that
-// decoded them is pooled.
+// fwdBatch is the bookkeeping for one admitted batch in a fwdQueue: how many
+// events it carries and how many bytes of the queue (length prefix
+// included) are its.
 type fwdBatch struct {
-	origin Origin
-	epoch  uint64
-	seq    uint64
-	slots  []eventSlot
+	events, size int
 }
 
-// Forwarder turns a server into a leaf: admitted batches and snapshot
-// documents buffer here and flush upstream as rollup frames. The enqueue
-// path runs under the server's rank-shard lock (that is what serializes a
-// single origin's batches into admission order), so it is a bounded
-// append; all I/O happens on the flusher goroutine.
+// fwdQueue holds admitted batches in admission order, already in the form
+// a rollup frame embeds them: data is their length-prefixed payloads back to
+// back, batches the per-record bookkeeping that lets overflow shed whole
+// batches oldest-first.
+type fwdQueue struct {
+	data    []byte
+	batches []fwdBatch
+	events  int // sum of batches[i].events
+}
+
+// push appends one batch payload behind its length prefix. A queue that has
+// grown to its working size pushes without allocating.
+//
+//zerosum:hotpath
+func (q *fwdQueue) push(payload []byte, events int) {
+	q.data = appendLenPrefixed(q.data, payload)
+	q.batches = append(q.batches, fwdBatch{events: events, size: 4 + len(payload)})
+	q.events += events
+}
+
+// shed drops the oldest batch and returns its event count.
+func (q *fwdQueue) shed() int {
+	old := q.batches[0]
+	q.batches = q.batches[1:]
+	q.data = q.data[old.size:]
+	q.events -= old.events
+	return old.events
+}
+
+// Forwarder turns a server into a leaf: the payload bytes of admitted
+// batches and snapshot documents buffer here and flush upstream as rollup
+// frames. It relays bytes, never events: a batch payload that decoded is
+// canonical (wirev4.go), so the bytes the leaf admitted are the bytes
+// encoding the decoded batch would produce, and they keep the original
+// (origin, epoch, seq) the parent's per-origin dedup needs to merge a batch
+// two leaf incarnations both admitted exactly once. The enqueue path runs
+// under the server's rank-shard lock (that is what serializes a single
+// origin's batches into admission order), so it is a bounded append; all
+// I/O happens on the flusher goroutine.
 type Forwarder struct {
 	cfg ForwardConfig
 
-	mu sync.Mutex
-	// pending is the admitted-batch queue in arrival order; pendingEvents
-	// sums their event counts for the overflow and eager-flush thresholds.
-	pending       []*fwdBatch             //zerosum:guardedby mu
-	pendingEvents int                     //zerosum:guardedby mu
-	snaps         map[Origin]*SnapshotMsg //zerosum:guardedby mu latest unshipped snapshot per origin
+	mu      sync.Mutex
+	pending fwdQueue          //zerosum:guardedby mu
+	snaps   map[Origin][]byte //zerosum:guardedby mu latest unshipped snapshot body per origin
 
 	// sendMu serializes flushes so rollup sequence numbers leave in order;
-	// seq and the scratch buffers below belong to whoever holds it.
+	// seq and the scratch below belong to whoever holds it. spare is the
+	// queue the previous flush drained, swapped in for pending by the next
+	// so enqueues keep appending into grown buffers.
 	sendMu   sync.Mutex
-	seq      uint64 //zerosum:guardedby sendMu
-	frameBuf []byte //zerosum:guardedby sendMu
+	seq      uint64   //zerosum:guardedby sendMu
+	frameBuf []byte   //zerosum:guardedby sendMu
+	spare    fwdQueue //zerosum:guardedby sendMu
 
 	enqueuedEvents atomic.Uint64
 	ackedEvents    atomic.Uint64
@@ -148,18 +157,11 @@ type Forwarder struct {
 	sentRollups    atomic.Uint64
 	droppedRollups atomic.Uint64
 	sentSnapshots  atomic.Uint64
-	retries        atomic.Uint64
 
-	kick   chan struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
-	killed atomic.Bool
-
-	// jitterMu guards rng: flushes run on the flusher goroutine but also on
-	// whichever goroutine calls Flush.
-	jitterMu sync.Mutex
-	rng      *sim.RNG //zerosum:guardedby jitterMu
+	kick    chan struct{}
+	wg      sync.WaitGroup
+	closed  atomic.Bool
+	shipper *shipper // stopped by whichever of Close and Kill wins closed
 }
 
 // NewForwarder starts a forwarder and its flusher goroutine.
@@ -171,54 +173,40 @@ func NewForwarder(cfg ForwardConfig) (*Forwarder, error) {
 	if cfg.LeafID == "" {
 		return nil, fmt.Errorf("aggd: ForwardConfig.LeafID is required")
 	}
-	// Deterministic jitter, same contract as the agent's: replaying a run
-	// replays the delays; the values only need to differ across leaves.
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, cfg.Upstream) // hash.Hash Write never fails
-	_, _ = io.WriteString(h, cfg.LeafID)   // hash.Hash Write never fails
 	f := &Forwarder{
 		cfg:   cfg,
-		snaps: make(map[Origin]*SnapshotMsg),
+		snaps: make(map[Origin][]byte),
 		kick:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
-		rng:   sim.NewRNG(h.Sum64() ^ cfg.Epoch),
+		shipper: newShipper(cfg.Client, cfg.MaxRetries, cfg.BackoffBase, cfg.MaxBackoff, cfg.DisableGzip,
+			cfg.Epoch, cfg.Upstream, cfg.LeafID),
 	}
 	f.wg.Add(1)
 	go f.run()
 	return f, nil
 }
 
-// EnqueueBatch buffers an admitted batch for the next rollup. The events
-// (and the payloads they point into) are copied before returning, so the
-// caller's decode arena is free to be reused.
+// EnqueueBatch buffers an admitted batch — its FrameBatch payload and the
+// number of events that payload decoded to — for the next rollup. The bytes
+// are copied before returning, so the caller's read buffer is free to be
+// reused.
 //
 //zerosum:locked rankShard.mu the server enqueues under the origin's shard lock, which is what orders one origin's batches
-func (f *Forwarder) EnqueueBatch(b *Batch) {
-	fb := &fwdBatch{origin: b.Origin, epoch: b.Epoch, seq: b.Seq,
-		slots: make([]eventSlot, len(b.Events))}
-	for i := range b.Events {
-		fb.slots[i].store(b.Events[i])
-	}
+func (f *Forwarder) EnqueueBatch(payload []byte, events int) {
+	f.enqueuedEvents.Add(uint64(events))
 	f.mu.Lock()
 	if f.closed.Load() {
 		f.mu.Unlock()
-		f.droppedEvents.Add(uint64(len(fb.slots)))
-		f.enqueuedEvents.Add(uint64(len(fb.slots)))
+		f.droppedEvents.Add(uint64(events))
 		return
 	}
-	f.enqueuedEvents.Add(uint64(len(fb.slots)))
-	f.pending = append(f.pending, fb)
-	f.pendingEvents += len(fb.slots)
+	f.pending.push(payload, events)
 	// Shed oldest-first when the parent has been unreachable long enough
 	// to back the buffer up; the drop is counted, never silent.
 	var shed int
-	for f.pendingEvents > f.cfg.MaxBuffered && len(f.pending) > 1 {
-		old := f.pending[0]
-		f.pending = f.pending[1:]
-		f.pendingEvents -= len(old.slots)
-		shed += len(old.slots)
+	for f.pending.events > f.cfg.MaxBuffered && len(f.pending.batches) > 1 {
+		shed += f.pending.shed()
 	}
-	eager := f.pendingEvents >= f.cfg.EagerEvents
+	eager := f.pending.events >= f.cfg.EagerEvents
 	f.mu.Unlock()
 	if shed > 0 {
 		f.droppedEvents.Add(uint64(shed))
@@ -231,15 +219,15 @@ func (f *Forwarder) EnqueueBatch(b *Batch) {
 	}
 }
 
-// EnqueueSnapshot buffers a rank's snapshot document for the next rollup.
-// Snapshots are idempotent wholesale replacements, so only the latest
-// unshipped document per origin is kept and a document that fails to ship
-// stays buffered for the next flush.
-func (f *Forwarder) EnqueueSnapshot(msg *SnapshotMsg) {
-	cp := *msg
+// EnqueueSnapshot buffers a rank's snapshot document — its FrameSnapshot
+// payload — for the next rollup. Snapshots are idempotent wholesale
+// replacements, so only the latest unshipped document per origin is kept
+// and a document that fails to ship stays buffered for the next flush.
+func (f *Forwarder) EnqueueSnapshot(origin Origin, payload []byte) {
+	body := append([]byte(nil), payload...)
 	f.mu.Lock()
 	if !f.closed.Load() {
-		f.snaps[msg.Origin] = &cp
+		f.snaps[origin] = body
 	}
 	f.mu.Unlock()
 }
@@ -250,8 +238,8 @@ func (f *Forwarder) run() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-f.done:
-			if !f.killed.Load() {
+		case <-f.shipper.done:
+			if !f.shipper.killed.Load() {
 				f.flushOnce()
 			}
 			return
@@ -267,50 +255,46 @@ func (f *Forwarder) run() {
 // settle the pipeline before auditing; a daemon never needs it.
 func (f *Forwarder) Flush() bool { return f.flushOnce() }
 
-// flushOnce drains the buffer into one rollup frame and posts it. Returns
-// false only when a non-empty rollup was abandoned after its retries.
+// flushOnce drains the buffer into one rollup frame — header, the pending
+// batch records, the latest snapshot bodies — and posts it. Returns false
+// only when a non-empty rollup was abandoned after its retries.
 func (f *Forwarder) flushOnce() bool {
 	f.sendMu.Lock()
 	defer f.sendMu.Unlock()
 
 	f.mu.Lock()
-	batches := f.pending
-	nEvents := f.pendingEvents
-	f.pending = nil
-	f.pendingEvents = 0
-	var dirty map[Origin]*SnapshotMsg
+	out := f.pending
+	f.pending = f.spare
+	var dirty map[Origin][]byte
 	if len(f.snaps) > 0 {
 		dirty = f.snaps
-		f.snaps = make(map[Origin]*SnapshotMsg)
+		f.snaps = make(map[Origin][]byte)
 	}
 	f.mu.Unlock()
+	// out's buffers stay this flush's to read: only the next flush, behind
+	// sendMu, hands spare to the enqueuers.
+	f.spare = fwdQueue{data: out.data[:0], batches: out.batches[:0]}
 
-	if len(batches) == 0 && len(dirty) == 0 {
+	if len(out.batches) == 0 && len(dirty) == 0 {
 		return true
 	}
 
-	ru := RollupMsg{LeafID: f.cfg.LeafID, LeafEpoch: f.cfg.Epoch, Seq: f.seq}
+	seq := f.seq
 	f.seq++
-	ru.Batches = make([]Batch, len(batches))
-	for i, fb := range batches {
-		events := make([]export.Event, len(fb.slots))
-		for j := range fb.slots {
-			events[j] = fb.slots[j].event()
-		}
-		ru.Batches[i] = Batch{Origin: fb.origin, Epoch: fb.epoch, Seq: fb.seq, Events: events}
-	}
-	for _, msg := range dirty {
-		ru.Snapshots = append(ru.Snapshots, *msg)
+	snaps := make([][]byte, 0, len(dirty))
+	for _, body := range dirty {
+		snaps = append(snaps, body)
 	}
 
 	shipStart := f.cfg.Now()
-	frame, err := AppendRollupFrame(f.frameBuf[:0], &ru)
+	frame, err := appendRollupFrame(f.frameBuf[:0], f.cfg.LeafID, f.cfg.Epoch, seq,
+		len(out.batches), out.data, snaps)
 	if err == nil {
 		f.frameBuf = frame
-		err = f.post(frame)
+		err = f.shipper.post(f.cfg.Upstream, frame)
 	}
 	if err != nil {
-		f.droppedEvents.Add(uint64(nEvents))
+		f.droppedEvents.Add(uint64(out.events))
 		f.droppedRollups.Add(1)
 		f.cfg.Obs.RecordError(obs.StageExport)
 		// The batches are gone (retrying them under the same rollup seq
@@ -318,100 +302,26 @@ func (f *Forwarder) flushOnce() bool {
 		// snapshots are idempotent: put any not re-dirtied since back.
 		f.mu.Lock()
 		if !f.closed.Load() {
-			for origin, msg := range dirty {
+			for origin, body := range dirty {
 				if _, ok := f.snaps[origin]; !ok {
-					f.snaps[origin] = msg
+					f.snaps[origin] = body
 				}
 			}
 		}
 		f.mu.Unlock()
 		return false
 	}
-	f.ackedEvents.Add(uint64(nEvents))
+	f.ackedEvents.Add(uint64(out.events))
 	f.sentRollups.Add(1)
 	f.sentSnapshots.Add(uint64(len(dirty)))
 	f.cfg.Obs.Record(obs.StageExport, shipStart, f.cfg.Now().Sub(shipStart))
 	return true
 }
 
-// post sends one rollup frame with gzip and retry-with-exponential-backoff,
-// mirroring the agent's shipment path.
-//
-//zerosum:wallclock retry backoff waits on real network latency, not sampled time
-func (f *Forwarder) post(frame []byte) error {
-	body := frame
-	encoding := ""
-	if !f.cfg.DisableGzip {
-		z := gzPool.Get().(*gzScratch)
-		defer gzPool.Put(z)
-		z.buf.Reset()
-		z.zw.Reset(&z.buf)
-		if _, err := z.zw.Write(frame); err == nil && z.zw.Close() == nil {
-			body, encoding = z.buf.Bytes(), "gzip"
-		}
-	}
-	url := f.cfg.Upstream + "/api/ingest"
-	backoff := f.cfg.BackoffBase
-	maxRetries := f.cfg.MaxRetries
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if f.killed.Load() {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("aggd: forwarder killed")
-			}
-			return lastErr
-		}
-		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/x-zerosum-aggd")
-		if encoding != "" {
-			req.Header.Set("Content-Encoding", encoding)
-		}
-		resp, err := f.cfg.Client.Do(req)
-		if err == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			_ = resp.Body.Close()
-			if resp.StatusCode/100 == 2 {
-				return nil
-			}
-			err = fmt.Errorf("aggd: upstream returned %s", resp.Status)
-		}
-		lastErr = err
-		if attempt >= maxRetries {
-			return lastErr
-		}
-		f.retries.Add(1)
-		timer := time.NewTimer(f.jitter(backoff))
-		select {
-		case <-timer.C:
-		case <-f.done:
-			timer.Stop()
-			// Closing: one final immediate attempt, then give up.
-			if maxRetries > attempt+1 {
-				maxRetries = attempt + 1
-			}
-		}
-		backoff *= 2
-		if backoff > f.cfg.MaxBackoff {
-			backoff = f.cfg.MaxBackoff
-		}
-	}
-}
-
-// jitter spreads a backoff delay uniformly across [d/2, d).
-func (f *Forwarder) jitter(d time.Duration) time.Duration {
-	f.jitterMu.Lock()
-	v := f.rng.Float64()
-	f.jitterMu.Unlock()
-	return d/2 + time.Duration(v*float64(d/2))
-}
-
 // Stats snapshots the forwarder's counters.
 func (f *Forwarder) Stats() FwdStats {
 	f.mu.Lock()
-	pending := f.pendingEvents
+	pending := f.pending.events
 	f.mu.Unlock()
 	return FwdStats{
 		EnqueuedEvents: f.enqueuedEvents.Load(),
@@ -421,7 +331,7 @@ func (f *Forwarder) Stats() FwdStats {
 		SentRollups:    f.sentRollups.Load(),
 		DroppedRollups: f.droppedRollups.Load(),
 		SentSnapshots:  f.sentSnapshots.Load(),
-		Retries:        f.retries.Load(),
+		Retries:        f.shipper.retries.Load(),
 		Epoch:          f.cfg.Epoch,
 	}
 }
@@ -432,7 +342,7 @@ func (f *Forwarder) Close() error {
 	if f.closed.Swap(true) {
 		return nil
 	}
-	close(f.done)
+	f.shipper.stop(false)
 	f.wg.Wait()
 	f.dropPending()
 	return nil
@@ -446,8 +356,7 @@ func (f *Forwarder) Kill() {
 	if f.closed.Swap(true) {
 		return
 	}
-	f.killed.Store(true)
-	close(f.done)
+	f.shipper.stop(true)
 	f.wg.Wait()
 	f.dropPending()
 }
@@ -456,10 +365,9 @@ func (f *Forwarder) Kill() {
 // dropped counter (snapshot documents are not events and simply vanish).
 func (f *Forwarder) dropPending() {
 	f.mu.Lock()
-	orphaned := f.pendingEvents
-	f.pending = nil
-	f.pendingEvents = 0
-	f.snaps = map[Origin]*SnapshotMsg{}
+	orphaned := f.pending.events
+	f.pending = fwdQueue{}
+	f.snaps = map[Origin][]byte{}
 	f.mu.Unlock()
 	if orphaned > 0 {
 		f.droppedEvents.Add(uint64(orphaned))

@@ -1,8 +1,13 @@
 package aggd
 
 import (
+	"bytes"
+	"compress/gzip"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,10 +37,10 @@ func TestForwarderLeafToRoot(t *testing.T) {
 	defer rootTS.Close()
 
 	leaf := leafFor(rootTS.URL, 1)
-	leaf.applyBatch(mkBatch(1, 0, 3))
-	leaf.applyBatch(mkBatch(1, 1, 2))
-	leaf.applyBatch(mkBatch(1, 1, 2)) // dup: admitted nowhere, forwarded nowhere
-	leaf.applySnapshot(&SnapshotMsg{
+	applyEncoded(t, leaf, mkBatch(1, 0, 3))
+	applyEncoded(t, leaf, mkBatch(1, 1, 2))
+	applyEncoded(t, leaf, mkBatch(1, 1, 2)) // dup: admitted nowhere, forwarded nowhere
+	applyEncodedSnapshot(t, leaf, &SnapshotMsg{
 		Origin:   Origin{Job: "j", Node: "n", Rank: 0},
 		Snapshot: testSnapshot(0, "n"),
 	})
@@ -92,8 +97,8 @@ func TestForwarderDropsBurnSeq(t *testing.T) {
 
 	leaf := leafFor(rootTS.URL, 1)
 	defer leaf.Close()
-	leaf.applyBatch(mkBatch(1, 0, 4))
-	leaf.applySnapshot(&SnapshotMsg{
+	applyEncoded(t, leaf, mkBatch(1, 0, 4))
+	applyEncodedSnapshot(t, leaf, &SnapshotMsg{
 		Origin:   Origin{Job: "j", Node: "n", Rank: 0},
 		Snapshot: testSnapshot(0, "n"),
 	})
@@ -107,7 +112,7 @@ func TestForwarderDropsBurnSeq(t *testing.T) {
 	}
 
 	failing.Store(false)
-	leaf.applyBatch(mkBatch(1, 1, 2))
+	applyEncoded(t, leaf, mkBatch(1, 1, 2))
 	if !leaf.Forwarder().Flush() {
 		t.Fatal("flush after the outage failed")
 	}
@@ -131,7 +136,7 @@ func TestForwarderKillConservation(t *testing.T) {
 	dead.Close() // connection refused, instantly
 
 	leaf := leafFor(dead.URL, 1)
-	leaf.applyBatch(mkBatch(1, 0, 7))
+	applyEncoded(t, leaf, mkBatch(1, 0, 7))
 	leaf.Forwarder().Kill()
 	fst := leaf.Forwarder().Stats()
 	if fst.EnqueuedEvents != 7 || fst.DroppedEvents != 7 || fst.AckedEvents != 0 || fst.PendingEvents != 0 {
@@ -142,4 +147,371 @@ func TestForwarderKillConservation(t *testing.T) {
 	if err := leaf.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// upstreamTap is a parent aggregator seen from the wire: it records every
+// ingest body (inflated) and its Content-Encoding, then answers through
+// next, or 204 when next is nil.
+type upstreamTap struct {
+	*httptest.Server
+	next http.Handler
+
+	mu        sync.Mutex
+	bodies    [][]byte
+	encodings []string
+}
+
+func newUpstreamTap(t *testing.T, next http.Handler) *upstreamTap {
+	t.Helper()
+	u := &upstreamTap{next: next}
+	u.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		raw, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("tap: read body: %v", err)
+		}
+		body := raw
+		if r.Header.Get("Content-Encoding") == "gzip" {
+			zr, err := gzip.NewReader(bytes.NewReader(raw))
+			if err != nil {
+				t.Errorf("tap: %v", err)
+				return
+			}
+			if body, err = io.ReadAll(zr); err != nil {
+				t.Errorf("tap: inflate: %v", err)
+			}
+		}
+		u.mu.Lock()
+		u.bodies = append(u.bodies, body)
+		u.encodings = append(u.encodings, r.Header.Get("Content-Encoding"))
+		u.mu.Unlock()
+		if u.next == nil {
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(raw))
+		u.next.ServeHTTP(w, r)
+	}))
+	t.Cleanup(u.Close)
+	return u
+}
+
+// rollups decodes every body recorded so far as exactly one rollup frame.
+func (u *upstreamTap) rollups(t *testing.T) (frames [][]byte, msgs []*RollupMsg) {
+	t.Helper()
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	for _, body := range u.bodies {
+		sc := NewFrameScanner(bytes.NewReader(body))
+		kind, payload, err := sc.Next()
+		if err != nil || kind != FrameRollup || len(payload) != len(body)-FrameHeaderLen {
+			t.Fatalf("upstream body is not one rollup frame: kind %d, err %v", kind, err)
+		}
+		ru, err := DecodeRollupPayload(payload, WireVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, body)
+		msgs = append(msgs, ru)
+	}
+	return frames, msgs
+}
+
+// TestForwarderRelayMatchesReencode is the differential check on the relay:
+// whatever a leaf admitted from real agents — every event kind, two jobs, a
+// snapshot each, gzip on and off — the rollup frame it ships is byte for
+// byte what the message-level encoder produces from the decoded rollup. The
+// leaf never ran that encoder; it copied the payload bytes it admitted.
+func TestForwarderRelayMatchesReencode(t *testing.T) {
+	for _, gz := range []bool{true, false} {
+		t.Run(fmt.Sprintf("gzip=%v", gz), func(t *testing.T) {
+			up := newUpstreamTap(t, nil)
+			leaf := NewServer(ServerConfig{Forward: &ForwardConfig{
+				Upstream: up.URL, LeafID: "leaf-under-test", Epoch: 3,
+				FlushInterval: time.Hour, DisableGzip: !gz,
+			}})
+			defer leaf.Close()
+			leafTS := httptest.NewServer(leaf.Handler())
+			defer leafTS.Close()
+
+			var sent uint64
+			for rank, job := range []string{"job-a", "job-b"} {
+				a, err := NewAgent(AgentConfig{
+					URL: leafTS.URL, Job: job, Node: "node-0003", Rank: rank,
+					BatchSize: 8, FlushInterval: time.Hour, DisableGzip: !gz,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round := 0; round < 5; round++ {
+					for _, ev := range sampleBatch().Events {
+						ev.TimeSec += float64(round)
+						a.enqueue(ev)
+						sent++
+					}
+				}
+				if err := a.PushSnapshot(testSnapshot(rank, "node-0003"), map[int]uint64{1 - rank: 64}); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !leaf.Forwarder().Flush() {
+				t.Fatal("flush failed")
+			}
+
+			frames, msgs := up.rollups(t)
+			if len(frames) != 1 {
+				t.Fatalf("leaf shipped %d rollups, want 1", len(frames))
+			}
+			if want := map[bool]string{true: "gzip", false: ""}[gz]; up.encodings[0] != want {
+				t.Fatalf("Content-Encoding %q, want %q", up.encodings[0], want)
+			}
+			ru := msgs[0]
+			var events uint64
+			jobs := map[string]bool{}
+			for i := range ru.Batches {
+				events += uint64(len(ru.Batches[i].Events))
+				jobs[ru.Batches[i].Job] = true
+			}
+			if events != sent || len(jobs) != 2 || len(ru.Snapshots) != 2 {
+				t.Fatalf("rollup carries %d events of %d jobs and %d snapshots; two agents sent %d events",
+					events, len(jobs), len(ru.Snapshots), sent)
+			}
+			want, err := AppendRollupFrame(nil, ru)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(frames[0], want) {
+				t.Fatalf("relayed frame (%d bytes) differs from the re-encoded rollup (%d bytes)", len(frames[0]), len(want))
+			}
+		})
+	}
+}
+
+// TestForwarderRelayMidTier feeds a middle-tier aggregator rollups and
+// checks what it sends on: every embedded payload it admitted, byte for
+// byte and in order, and nothing for the replays — a whole rollup replayed
+// under its old sequence number, and an already-admitted batch arriving
+// again inside a new rollup.
+func TestForwarderRelayMidTier(t *testing.T) {
+	up := newUpstreamTap(t, nil)
+	mid := leafFor(up.URL, 1)
+	defer mid.Close()
+	midTS := httptest.NewServer(mid.Handler())
+	defer midTS.Close()
+
+	first := &RollupMsg{LeafID: "leaf-below", LeafEpoch: 1, Seq: 0,
+		Batches:   []Batch{*sampleBatch(), *mkBatch(1, 0, 3)},
+		Snapshots: []SnapshotMsg{{Origin: Origin{Job: "j", Node: "n", Rank: 0}, Snapshot: testSnapshot(0, "n")}},
+	}
+	second := &RollupMsg{LeafID: "leaf-below", LeafEpoch: 1, Seq: 1,
+		Batches: []Batch{*mkBatch(1, 0, 3), *mkBatch(1, 1, 2)}, // seq 0 again: a per-origin duplicate
+	}
+	var in []*rollupView
+	for _, ru := range []*RollupMsg{first, first, second} {
+		frame, err := EncodeRollupFrame(ru)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := new(rollupView)
+		if err := walkRollupPayload(frame[FrameHeaderLen:], view); err != nil {
+			t.Fatal(err)
+		}
+		in = append(in, view)
+		resp, err := http.Post(midTS.URL+"/api/ingest", "application/x-zerosum-aggd", bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("mid-tier ingest: %s", resp.Status)
+		}
+	}
+	if !mid.Forwarder().Flush() {
+		t.Fatal("flush failed")
+	}
+
+	frames, _ := up.rollups(t)
+	if len(frames) != 1 {
+		t.Fatalf("mid-tier shipped %d rollups, want 1", len(frames))
+	}
+	var out rollupView
+	if err := walkRollupPayload(frames[0][FrameHeaderLen:], &out); err != nil {
+		t.Fatal(err)
+	}
+	wantBatches := [][]byte{in[0].batches[0], in[0].batches[1], in[2].batches[1]}
+	if len(out.batches) != len(wantBatches) {
+		t.Fatalf("forwarded %d batches, want %d", len(out.batches), len(wantBatches))
+	}
+	for i := range wantBatches {
+		if !bytes.Equal(out.batches[i], wantBatches[i]) {
+			t.Errorf("forwarded batch %d is not the payload that came in", i)
+		}
+	}
+	if len(out.snaps) != 1 || !bytes.Equal(out.snaps[0], in[0].snaps[0]) {
+		t.Errorf("forwarded %d snapshots, want the one body that came in", len(out.snaps))
+	}
+	fst := mid.Forwarder().Stats()
+	if want := uint64(len(sampleBatch().Events) + 3 + 2); fst.EnqueuedEvents != want || fst.AckedEvents != want {
+		t.Fatalf("mid-tier books: %+v, want %d events enqueued and acked", fst, want)
+	}
+	if mst := mid.Stats(); mst.DupRollups != 1 || mst.DupBatches != 1 {
+		t.Fatalf("mid-tier dedup: %+v", mst)
+	}
+}
+
+// TestForwarderOverflowShedsOldest backs the buffer up past MaxBuffered and
+// checks the shedding contract — whole batches, oldest first, every shed
+// event counted, survivors shipped in admission order — and that the books
+// close whichever way the leaf then stops.
+func TestForwarderOverflowShedsOldest(t *testing.T) {
+	for _, stop := range []string{"close", "kill"} {
+		t.Run(stop, func(t *testing.T) {
+			up := newUpstreamTap(t, nil)
+			leaf := NewServer(ServerConfig{Forward: &ForwardConfig{
+				Upstream: up.URL, LeafID: "leaf-under-test", Epoch: 1,
+				FlushInterval: time.Hour, MaxBuffered: 10, // EagerEvents clamps to 10, which 4-event batches never sum to
+				MaxRetries: -1, DisableGzip: true,
+			}})
+			for seq := uint64(0); seq < 5; seq++ {
+				applyEncoded(t, leaf, mkBatch(1, seq, 4))
+			}
+			fst := leaf.Forwarder().Stats()
+			if fst.EnqueuedEvents != 20 || fst.DroppedEvents != 12 || fst.PendingEvents != 8 {
+				t.Fatalf("after overflow: %+v, want 20 enqueued, 12 shed, 8 pending", fst)
+			}
+
+			var wantAcked uint64
+			if stop == "close" {
+				wantAcked = 8
+				if err := leaf.Close(); err != nil {
+					t.Fatal(err)
+				}
+				_, msgs := up.rollups(t)
+				if len(msgs) != 1 || len(msgs[0].Batches) != 2 ||
+					msgs[0].Batches[0].Seq != 3 || msgs[0].Batches[1].Seq != 4 {
+					t.Fatalf("survivors upstream: %+v, want batches 3 and 4 in one rollup", msgs)
+				}
+			} else {
+				leaf.Forwarder().Kill()
+				if frames, _ := up.rollups(t); len(frames) != 0 {
+					t.Fatalf("killed leaf shipped %d rollups", len(frames))
+				}
+			}
+			fst = leaf.Forwarder().Stats()
+			if fst.AckedEvents != wantAcked || fst.PendingEvents != 0 ||
+				fst.EnqueuedEvents != fst.AckedEvents+fst.DroppedEvents {
+				t.Fatalf("books after %s: %+v", stop, fst)
+			}
+		})
+	}
+}
+
+// TestForwarderFailedFlushRequeuesSnapshots: a rollup that fails to ship
+// puts its snapshot documents back, except where a newer document for the
+// same origin arrived while it was in flight.
+func TestForwarderFailedFlushRequeuesSnapshots(t *testing.T) {
+	arrived := make(chan struct{})
+	release := make(chan struct{})
+	var failing atomic.Bool
+	failing.Store(true)
+	up := newUpstreamTap(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if failing.Load() {
+			arrived <- struct{}{}
+			<-release
+			http.Error(w, "injected outage", http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	leaf := leafFor(up.URL, 1)
+	defer leaf.Close()
+
+	snap := func(rank int, duration float64) *SnapshotMsg {
+		msg := &SnapshotMsg{Origin: Origin{Job: "j", Node: "n", Rank: rank}, Snapshot: testSnapshot(rank, "n")}
+		msg.Snapshot.DurationSec = duration
+		return msg
+	}
+	applyEncodedSnapshot(t, leaf, snap(0, 1))
+	applyEncodedSnapshot(t, leaf, snap(1, 1))
+	flushed := make(chan bool)
+	go func() { flushed <- leaf.Forwarder().Flush() }()
+	<-arrived
+	applyEncodedSnapshot(t, leaf, snap(0, 2)) // rank 0 re-dirtied while the first rollup is in flight
+	failing.Store(false)
+	release <- struct{}{}
+	if <-flushed {
+		t.Fatal("flush through the outage reported success")
+	}
+	if !leaf.Forwarder().Flush() {
+		t.Fatal("flush after the outage failed")
+	}
+
+	_, msgs := up.rollups(t)
+	if len(msgs) != 2 || len(msgs[1].Snapshots) != 2 {
+		t.Fatalf("recovery rollup: %+v", msgs)
+	}
+	for _, msg := range msgs[1].Snapshots {
+		if want := map[int]float64{0: 2, 1: 1}[msg.Rank]; msg.Snapshot.DurationSec != want {
+			t.Errorf("rank %d rode the recovery rollup with duration %v, want %v", msg.Rank, msg.Snapshot.DurationSec, want)
+		}
+	}
+	if fst := leaf.Forwarder().Stats(); fst.SentSnapshots != 2 || fst.DroppedRollups != 1 {
+		t.Fatalf("forwarder books: %+v", fst)
+	}
+}
+
+// roundTripFunc lets a test stand in for the network.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestForwarderAllocs bounds the relay's allocation: a warm EnqueueBatch
+// makes none, and a flush makes the same handful whether it carries four
+// batches or four hundred.
+func TestForwarderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	f, err := NewForwarder(ForwardConfig{
+		Upstream: "http://upstream.invalid", LeafID: "leaf-under-test",
+		FlushInterval: time.Hour, EagerEvents: 1 << 30, MaxBuffered: 1 << 30, DisableGzip: true,
+		Client: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			_, err := io.Copy(io.Discard, r.Body)
+			return &http.Response{StatusCode: http.StatusNoContent, Body: http.NoBody}, err
+		})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	frame, err := EncodeBatchFrame(sampleBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, events := frame[FrameHeaderLen:], len(sampleBatch().Events)
+	cycle := func(batches int) func() {
+		return func() {
+			for i := 0; i < batches; i++ {
+				f.EnqueueBatch(payload, events)
+			}
+			if !f.Flush() {
+				t.Error("flush failed")
+			}
+		}
+	}
+	// Two cycles at the larger size grow both halves of the double buffer.
+	cycle(400)()
+	cycle(400)()
+	few := testing.AllocsPerRun(20, cycle(4))
+	many := testing.AllocsPerRun(20, cycle(400))
+	if many != few {
+		t.Errorf("a flush of 400 batches allocates %v times, one of 4 batches %v: not O(1)", many, few)
+	}
+	// 101 enqueues fit the buffers those flushes left behind.
+	if avg := testing.AllocsPerRun(100, func() { f.EnqueueBatch(payload, events) }); avg != 0 {
+		t.Errorf("warm EnqueueBatch allocates %v times per call, want 0", avg)
+	}
+	t.Logf("allocations per flush: %v", few)
 }

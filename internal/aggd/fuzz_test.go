@@ -138,7 +138,7 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			kind, payload, err := sc.Next()
 			if err == nil {
-				consumed := data[off : off+frameHeaderLen+len(payload)]
+				consumed := data[off : off+FrameHeaderLen+len(payload)]
 				off += len(consumed)
 				switch kind {
 				case FrameBatch:

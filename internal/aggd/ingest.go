@@ -146,7 +146,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				}
 				continue
 			}
-			s.applyBatch(b)
+			s.applyBatch(b, payload)
 			frames++
 		case FrameSnapshot:
 			msg, err := DecodeSnapshotPayload(payload)
@@ -158,7 +158,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				}
 				continue
 			}
-			s.applySnapshot(msg)
+			s.applySnapshot(msg, payload)
 			frames++
 		case FrameRollup:
 			if err := s.applyRollup(payload, bb); err != nil {
@@ -189,11 +189,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyBatch merges one batch, reporting whether it was admitted as new
-// data (false: a replay or stale-epoch straggler the dedup skipped). On a
-// leaf, admitted batches are also queued for the upstream rollup — under
+// data (false: a replay or stale-epoch straggler the dedup skipped).
+// payload is the FrameBatch payload b was decoded from: on a leaf, an
+// admitted batch's payload is also queued for the upstream rollup — under
 // the same shard lock, which is what keeps one origin's batches in
 // admission order on the wire up the tree.
-func (s *Server) applyBatch(b *Batch) bool {
+func (s *Server) applyBatch(b *Batch, payload []byte) bool {
 	now := s.cfg.Now()
 	js := s.job(b.Job)
 	sh := js.shardFor(rankKey{node: b.Node, rank: b.Rank})
@@ -206,7 +207,7 @@ func (s *Server) applyBatch(b *Batch) bool {
 		return false
 	}
 	if s.fwd != nil {
-		s.fwd.EnqueueBatch(b)
+		s.fwd.EnqueueBatch(payload, len(b.Events))
 	}
 	rs.events += uint64(len(b.Events))
 	var nLWP, nHWT, nGPU, nMem, nIO uint64
@@ -358,7 +359,7 @@ func (s *Server) applyRollup(payload []byte, bb *BatchBuf) error {
 			}
 			continue
 		}
-		if !s.applyBatch(b) {
+		if !s.applyBatch(b, body) {
 			s.rollupSkippedEvents.Add(uint64(len(b.Events)))
 		}
 	}
@@ -370,7 +371,7 @@ func (s *Server) applyRollup(payload []byte, bb *BatchBuf) error {
 			}
 			continue
 		}
-		s.applySnapshot(msg)
+		s.applySnapshot(msg, body)
 	}
 	return firstErr
 }
@@ -415,7 +416,9 @@ func boolSample(v bool) float64 {
 	return 0
 }
 
-func (s *Server) applySnapshot(msg *SnapshotMsg) {
+// applySnapshot stores one snapshot document; payload is the FrameSnapshot
+// payload msg was decoded from, which a leaf queues for the upstream rollup.
+func (s *Server) applySnapshot(msg *SnapshotMsg, payload []byte) {
 	now := s.cfg.Now()
 	js := s.job(msg.Job)
 	sh := js.shardFor(rankKey{node: msg.Node, rank: msg.Rank})
@@ -426,8 +429,6 @@ func (s *Server) applySnapshot(msg *SnapshotMsg) {
 	s.store.SetSnapshot(msg.Job, msg.Node, msg.Rank, msg.Snapshot, msg.CommRow)
 	s.ingestSnapshots.Add(1)
 	if s.fwd != nil {
-		// Safe to hold past this call: the decoded document is freshly
-		// allocated per frame, never pooled.
-		s.fwd.EnqueueSnapshot(msg)
+		s.fwd.EnqueueSnapshot(msg.Origin, payload)
 	}
 }

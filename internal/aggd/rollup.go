@@ -7,8 +7,8 @@ import (
 
 // Rollup frames are the tree's upstream wire format: a leaf aggregator
 // admits agent batches (running the usual per-origin dedup), buffers the
-// admitted events, and ships them to its parent pre-merged as one rollup
-// frame per flush. The frame rides the ZSAG framing with its own kind byte
+// admitted payloads, and ships them to its parent as one rollup frame per
+// flush. The frame rides the ZSAG framing with its own kind byte
 // (FrameRollup), so leaves and roots share one ingest endpoint and the
 // resyncing FrameScanner skips corrupt rollups exactly like corrupt batches.
 //
@@ -46,39 +46,55 @@ type RollupMsg struct {
 const minRollupPayload = 2 + 8 + 8 + 4 + 4
 
 // AppendRollupFrame appends the framed encoding of ru to dst and returns
-// the extended slice, so a forwarder can reuse one scratch buffer per
-// flush.
+// the extended slice. It is the message-level encoder: tests, fuzz seeds,
+// tools and benchmarks build frames from a RollupMsg with it, and it is the
+// reference a leaf's relayed frames are compared against. A Forwarder
+// already holds its parts in wire form and frames them through the same
+// appendRollupFrame.
 //
 //zerosum:wire-encode rollup
 func AppendRollupFrame(dst []byte, ru *RollupMsg) ([]byte, error) {
-	start := len(dst)
-	dst = appendHeader(dst, FrameRollup)
+	var batches []byte
 	var err error
-	if dst, err = appendString(dst, ru.LeafID); err != nil {
-		return nil, err
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, ru.LeafEpoch)
-	dst = binary.LittleEndian.AppendUint64(dst, ru.Seq)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ru.Batches)))
 	for i := range ru.Batches {
 		// Length-prefix each embedded batch payload; the payload bytes are
 		// exactly what AppendBatchFrame would put after its header.
-		lenAt := len(dst)
-		dst = binary.LittleEndian.AppendUint32(dst, 0)
-		bodyAt := len(dst)
-		if dst, err = appendBatchPayloadV4(dst, &ru.Batches[i]); err != nil {
+		lenAt := len(batches)
+		batches = binary.LittleEndian.AppendUint32(batches, 0)
+		if batches, err = appendBatchPayloadV4(batches, &ru.Batches[i]); err != nil {
 			return nil, err
 		}
-		binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-bodyAt))
+		binary.LittleEndian.PutUint32(batches[lenAt:], uint32(len(batches)-lenAt-4))
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ru.Snapshots)))
+	snaps := make([][]byte, len(ru.Snapshots))
 	for i := range ru.Snapshots {
-		body, err := encodeSnapshotPayload(&ru.Snapshots[i])
-		if err != nil {
+		if snaps[i], err = encodeSnapshotPayload(&ru.Snapshots[i]); err != nil {
 			return nil, err
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-		dst = append(dst, body...)
+	}
+	return appendRollupFrame(dst, ru.LeafID, ru.LeafEpoch, ru.Seq, len(ru.Batches), batches, snaps)
+}
+
+// appendRollupFrame frames one rollup whose parts are already in wire form:
+// batches holds nBatches length-prefixed batch payloads back to back, as
+// they sit in the frame; snaps holds the bare snapshot JSON bodies.
+//
+//zerosum:wire-encode rollup
+func appendRollupFrame(dst []byte, leafID string, leafEpoch, seq uint64,
+	nBatches int, batches []byte, snaps [][]byte) ([]byte, error) {
+	start := len(dst)
+	dst = appendHeader(dst, FrameRollup)
+	dst, err := appendString(dst, leafID)
+	if err != nil {
+		return nil, err
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, leafEpoch)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(nBatches))
+	dst = append(dst, batches...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(snaps)))
+	for _, body := range snaps {
+		dst = appendLenPrefixed(dst, body)
 	}
 	frame, err := finishFrame(dst[start:])
 	if err != nil {

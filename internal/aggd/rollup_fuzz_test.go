@@ -142,7 +142,7 @@ func checkRollupPayload(t *testing.T, payload []byte) {
 	// Embedded snapshot JSON is not byte-canonical (a fuzzed body may order
 	// keys differently), so the invariant is structural: the re-encoded
 	// frame decodes back to the same shape.
-	ru2, err := DecodeRollupPayload(re[frameHeaderLen:], WireVersion)
+	ru2, err := DecodeRollupPayload(re[FrameHeaderLen:], WireVersion)
 	if err != nil {
 		t.Fatalf("re-encoded rollup failed to decode: %v", err)
 	}

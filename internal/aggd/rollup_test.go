@@ -85,7 +85,7 @@ func TestRollupRoundTrip(t *testing.T) {
 
 func TestRollupWalkRejects(t *testing.T) {
 	frame := mkRollup("leaf", 1, 0, mkRollupBatch("n", 0, 1, 0, 2))
-	payload := append([]byte(nil), frame[frameHeaderLen:]...)
+	payload := append([]byte(nil), frame[FrameHeaderLen:]...)
 	var view rollupView
 
 	for _, ver := range []uint8{3, WireVersion + 1} {

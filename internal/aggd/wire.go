@@ -59,8 +59,6 @@ const (
 	// version + kind + payload length + payload CRC); frame[FrameHeaderLen:]
 	// is the payload of a single-frame buffer built by AppendBatchFrame.
 	FrameHeaderLen = 14
-
-	frameHeaderLen = FrameHeaderLen
 )
 
 // castagnoli is the CRC-32C polynomial table (hardware-accelerated on
@@ -130,12 +128,12 @@ func appendHeader(dst []byte, kind FrameKind) []byte {
 }
 
 func finishFrame(frame []byte) ([]byte, error) {
-	payload := len(frame) - frameHeaderLen
+	payload := len(frame) - FrameHeaderLen
 	if payload > MaxFramePayload {
 		return nil, fmt.Errorf("aggd: frame payload %d exceeds %d", payload, MaxFramePayload)
 	}
 	binary.LittleEndian.PutUint32(frame[6:10], uint32(payload))
-	binary.LittleEndian.PutUint32(frame[10:14], crc32.Checksum(frame[frameHeaderLen:], castagnoli))
+	binary.LittleEndian.PutUint32(frame[10:14], crc32.Checksum(frame[FrameHeaderLen:], castagnoli))
 	return frame, nil
 }
 
@@ -145,6 +143,13 @@ func appendString(dst []byte, s string) ([]byte, error) {
 	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...), nil
+}
+
+// appendLenPrefixed appends body behind its u32 length, the sub-payload
+// form decoder.lenPrefixed reads back.
+func appendLenPrefixed(dst, body []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	return append(dst, body...)
 }
 
 // AppendBatchFrame appends the framed encoding of b to dst and returns the
@@ -258,7 +263,7 @@ func plausibleHeader(hdr []byte) bool {
 func (s *FrameScanner) Next() (FrameKind, []byte, error) {
 	skipped := 0
 	for {
-		hdr, err := s.r.Peek(frameHeaderLen)
+		hdr, err := s.r.Peek(FrameHeaderLen)
 		if len(hdr) == 0 {
 			if err != nil && err != io.EOF {
 				return 0, nil, err
@@ -268,7 +273,7 @@ func (s *FrameScanner) Next() (FrameKind, []byte, error) {
 			}
 			return 0, nil, io.EOF
 		}
-		if len(hdr) < frameHeaderLen {
+		if len(hdr) < FrameHeaderLen {
 			// Trailing bytes too short to ever form a header.
 			n, _ := s.r.Discard(len(hdr))
 			return 0, nil, &CorruptFrameError{Skipped: skipped + n, Reason: "truncated trailing bytes"}
@@ -285,7 +290,7 @@ func (s *FrameScanner) Next() (FrameKind, []byte, error) {
 		}
 		// hdr aliases the bufio buffer and is invalidated by the payload
 		// read below; take what the error path needs now.
-		span := frameHeaderLen + int(binary.LittleEndian.Uint32(hdr[6:10]))
+		span := FrameHeaderLen + int(binary.LittleEndian.Uint32(hdr[6:10]))
 		kind, payload, err := s.readFrameReuse(hdr)
 		if err != nil {
 			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -308,8 +313,8 @@ func (s *FrameScanner) readFrameReuse(hdr []byte) (FrameKind, []byte, error) {
 	kind := FrameKind(hdr[5])
 	n := int(binary.LittleEndian.Uint32(hdr[6:10]))
 	want := binary.LittleEndian.Uint32(hdr[10:14])
-	// Cannot fail: Peek just proved frameHeaderLen buffered bytes.
-	if _, err := s.r.Discard(frameHeaderLen); err != nil {
+	// Cannot fail: Peek just proved FrameHeaderLen buffered bytes.
+	if _, err := s.r.Discard(FrameHeaderLen); err != nil {
 		return 0, nil, err
 	}
 	payload, err := s.readPayloadReuse(n)
@@ -475,14 +480,6 @@ func (bb *BatchBuf) reset() {
 // result is independently owned by the caller.
 func DecodeBatchPayload(payload []byte) (*Batch, error) {
 	return DecodeBatchPayloadInto(payload, new(BatchBuf))
-}
-
-// DecodeBatchPayloadInto parses a FrameBatch payload into bb and returns
-// the arena's batch. See BatchBuf for the aliasing contract.
-//
-//zerosum:wire-decode batch
-func DecodeBatchPayloadInto(payload []byte, bb *BatchBuf) (*Batch, error) {
-	return decodeBatchPayloadV4Into(payload, bb)
 }
 
 // fixupEventPayloads assigns each event's payload pointer into the arena.

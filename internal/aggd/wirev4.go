@@ -500,11 +500,12 @@ func (d *decoder) resolveRef(bb *BatchBuf, r uint64) (string, error) {
 	return bb.dict[r], nil
 }
 
-// decodeBatchPayloadV4Into parses a v4 batch payload into bb.
+// DecodeBatchPayloadInto parses a FrameBatch payload into bb and returns
+// the arena's batch. See BatchBuf for the aliasing contract.
 //
 //zerosum:hotpath
 //zerosum:wire-decode batch
-func decodeBatchPayloadV4Into(payload []byte, bb *BatchBuf) (*Batch, error) {
+func DecodeBatchPayloadInto(payload []byte, bb *BatchBuf) (*Batch, error) {
 	bb.reset()
 	d := &decoder{buf: payload}
 	b := &bb.batch
