@@ -2,10 +2,8 @@ package zerosum
 
 // Benchmarks for the embedded time-series store (internal/tsdb): the
 // append hot path, block compression, full-blob scan decode, and the
-// rollup-served range query. These feed the zsbench regression gate the
-// same way the experiment benchmarks do — `make bench-record` pins the
-// numbers in the committed baseline. docs/tsdb.md discusses the
-// bytes-per-sample budget the Compress benchmark reports.
+// rollup-served range query. docs/tsdb.md discusses the bytes-per-sample
+// budget the Compress benchmark reports.
 
 import (
 	"math"

@@ -2,8 +2,11 @@ package aggd
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"zerosum/internal/export"
@@ -165,5 +168,107 @@ func TestFrameScannerReuseZeroAlloc(t *testing.T) {
 	scan() // warm the payload buffer
 	if avg := testing.AllocsPerRun(100, scan); avg != 0 {
 		t.Errorf("warm scanner pass allocates %.1f per run, want 0", avg)
+	}
+}
+
+// reusedBody and reusedResponse let the ingest alloc gate drive the handler
+// with one in-memory request and response, so what it counts is the
+// server's work and not a client's or a socket's.
+type reusedBody struct{ bytes.Reader }
+
+func (*reusedBody) Close() error { return nil }
+
+type reusedResponse struct {
+	header http.Header
+	code   int
+}
+
+func (w *reusedResponse) Header() http.Header         { return w.header }
+func (w *reusedResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (w *reusedResponse) WriteHeader(code int)        { w.code = code }
+
+// TestServerIngestWarmAllocs holds the whole ingest handler — mux, gunzip,
+// scan, decode, dedup, merge, TSDB append — to the allocations a warm server
+// spends admitting one 512-event batch of the BenchmarkServerIngest shape
+// (LWP/HWT/Mem, a fresh sequence number every request). The ceilings are the
+// counts measured when the gate was written; any new allocation on the
+// ingest path fails it. The TSDB's chunk growth is amortised into the
+// average, so the run count is part of the measurement.
+func TestServerIngestWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode makes sync.Pool drop entries by design; the pooled ingest scratch then reallocates")
+	}
+	batch := &Batch{Origin: Origin{Job: "bench", Node: "n0", Rank: 0}, Epoch: 1}
+	for i := 0; i < 512; i++ {
+		ts := float64(i) * 0.001
+		switch i % 3 {
+		case 0:
+			batch.Events = append(batch.Events, export.Event{Kind: export.EventLWP, TimeSec: ts,
+				LWP: &export.LWPSample{TID: 100 + i, Kind: "OpenMP", State: 'R', UserPct: 98, NVCtx: uint64(i), CPU: i % 8}})
+		case 1:
+			batch.Events = append(batch.Events, export.Event{Kind: export.EventHWT, TimeSec: ts,
+				HWT: &export.HWTSample{CPU: i % 8, UserPct: 90, SysPct: 5, IdlePct: 5}})
+		default:
+			batch.Events = append(batch.Events, export.Event{Kind: export.EventMem, TimeSec: ts,
+				Mem: &export.MemSample{FreeKB: 1 << 20, ProcRSSKB: 1 << 18}})
+		}
+	}
+	for _, c := range []struct {
+		name string
+		gzip bool
+		max  float64
+	}{
+		{"plain", false, 17},
+		{"gzip", true, 23},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := NewServer(ServerConfig{})
+			handler := srv.Handler()
+			var (
+				frame []byte
+				zbuf  bytes.Buffer
+				zw    = gzip.NewWriter(io.Discard)
+				body  reusedBody
+				resp  = &reusedResponse{header: http.Header{}}
+				req   = httptest.NewRequest(http.MethodPost, "/api/ingest", nil)
+			)
+			req.Body = &body
+			if c.gzip {
+				req.Header.Set("Content-Encoding", "gzip")
+			}
+			post := func() {
+				batch.Seq++
+				var err error
+				if frame, err = AppendBatchFrame(frame[:0], batch); err != nil {
+					t.Fatal(err)
+				}
+				payload := frame
+				if c.gzip {
+					zbuf.Reset()
+					zw.Reset(&zbuf)
+					if _, err := zw.Write(frame); err != nil {
+						t.Fatal(err)
+					}
+					if err := zw.Close(); err != nil {
+						t.Fatal(err)
+					}
+					payload = zbuf.Bytes()
+				}
+				body.Reset(payload)
+				handler.ServeHTTP(resp, req)
+				if resp.code != http.StatusNoContent {
+					t.Fatalf("ingest status %d", resp.code)
+				}
+			}
+			const runs = 200
+			before := srv.Stats().IngestBatches
+			avg := testing.AllocsPerRun(runs, post)
+			if got := srv.Stats().IngestBatches - before; got != runs+1 {
+				t.Fatalf("admitted %d of %d posted batches", got, runs+1)
+			}
+			if avg > c.max {
+				t.Errorf("warm ingest of a 512-event batch allocates %.0f per request, ceiling %.0f", avg, c.max)
+			}
+		})
 	}
 }

@@ -136,9 +136,6 @@ func NewInjector(rng *sim.RNG, p FaultProfile) *Injector {
 // can deliver its final state.
 func (in *Injector) Heal() { in.healed.Store(true) }
 
-// Healed reports whether Heal has been called.
-func (in *Injector) Healed() bool { return in.healed.Load() }
-
 // Decide draws one request's verdict.
 func (in *Injector) Decide() Verdict {
 	if in.healed.Load() {

@@ -2,6 +2,9 @@ package chaos
 
 import (
 	"flag"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -10,68 +13,175 @@ var (
 	flagSeeds = flag.Int("seeds", 0, "run this many consecutive seeds starting at -seed (0 = just -seed)")
 )
 
-// soakConfig is the acceptance shape: >= 8 agents, every fault class
-// enabled, agent crashes and an aggregator restart mid-run.
-func soakConfig(seed uint64, logf func(string, ...any)) SoakConfig {
-	return SoakConfig{
-		Seed:          seed,
-		Agents:        8,
-		Kills:         1,
-		RestartServer: true,
-		Profile:       AllFaults(),
-		Logf:          logf,
-	}
-}
-
-// TestChaosSoak runs the full-fault soak for one seed (-seed) or a range
-// (-seeds). Any failure names the seed that reproduces it.
-func TestChaosSoak(t *testing.T) {
-	n := *flagSeeds
-	if n <= 0 {
-		n = 1
-	}
-	for seed := *flagSeed; seed < *flagSeed+uint64(n); seed++ {
-		seed := seed
+// soakSeeds runs one plan for one seed (-seed) or a range (-seeds), the
+// leak check bracketing every run. Any failure prints the line that
+// replays it: the test that owns the plan, and the seed.
+func soakSeeds(t *testing.T, plan func(seed uint64) (Plan, error), check func(t *testing.T, res *Result)) {
+	for seed := *flagSeed; seed < *flagSeed+uint64(max(*flagSeeds, 1)); seed++ {
 		t.Run("", func(t *testing.T) {
-			lc := StartLeakCheck()
-			res, err := RunSoak(soakConfig(seed, t.Logf))
-			if err != nil {
-				t.Fatalf("chaos soak failed (replay: go test ./internal/chaos -run TestChaosSoak -seed=%d): %v", seed, err)
-			}
-			lc.Assert(t)
+			res := runPlan(t, seed, plan, nil)
 			if res.Agent.SentEvents == 0 {
 				t.Fatalf("seed %d: soak delivered nothing: %+v", seed, res.Agent)
 			}
+			check(t, res)
 		})
 	}
+}
+
+// runPlan builds the plan for seed, lets adjust edit it, runs it and asserts
+// a clean pass with no leaked goroutine or descriptor.
+func runPlan(t *testing.T, seed uint64, plan func(seed uint64) (Plan, error), adjust func(*Plan)) *Result {
+	t.Helper()
+	name, _, _ := strings.Cut(t.Name(), "/")
+	replay := fmt.Sprintf("replay: go test ./internal/chaos -run '^%s$' -seed=%d", name, seed)
+	lc := StartLeakCheck()
+	p, err := plan(seed)
+	if err != nil {
+		t.Fatalf("plan (%s): %v", replay, err)
+	}
+	p.Logf = t.Logf
+	if adjust != nil {
+		adjust(&p)
+	}
+	res, err := Run(p)
+	if err != nil {
+		t.Fatalf("soak failed (%s): %v", replay, err)
+	}
+	lc.Assert(t)
+	return res
+}
+
+// faultFree strips every fault from a plan and makes its rings lossless:
+// the baselines assert zero drops of any kind.
+func faultFree(p *Plan) {
+	p.Profile, p.AgentKills, p.LeafKills, p.BounceRoot = FaultProfile{}, 0, 0, false
+	p.RingCap = 4096
+}
+
+func infallible(plan func(uint64) Plan) func(uint64) (Plan, error) {
+	return func(seed uint64) (Plan, error) { return plan(seed), nil }
+}
+
+// rolledUp asserts the run went through the leaf tier at all.
+func rolledUp(t *testing.T, res *Result) {
+	if res.Root.RollupFrames == 0 {
+		t.Fatalf("root never saw a rollup frame: %+v", res.Root)
+	}
+}
+
+// TestChaosSoak runs the flat plan: every packet fault class, agent
+// crashes and a root bounce against a single aggregator.
+func TestChaosSoak(t *testing.T) {
+	soakSeeds(t, infallible(flatPlan), func(*testing.T, *Result) {})
+}
+
+// TestTreeSoak runs the tree plan: leaf crashes and a root bounce under
+// one job, conservation audited tier by tier.
+func TestTreeSoak(t *testing.T) {
+	soakSeeds(t, infallible(treePlan), rolledUp)
+}
+
+// TestMultiJobSoak runs the multi-job isolation plan: a scenario-generated
+// fleet of well over 100 colliding jobs through the tree plan's faults.
+func TestMultiJobSoak(t *testing.T) {
+	soakSeeds(t, multiJobPlan, func(t *testing.T, res *Result) {
+		rolledUp(t, res)
+		if len(res.Jobs) < 100 {
+			t.Fatalf("scenario executed only %d jobs, acceptance floor is 100", len(res.Jobs))
+		}
+	})
 }
 
 // TestChaosSoakFaultFree pins the baseline: with no faults injected,
 // nothing is dropped, nothing is retried, and the aggregator merges every
 // event exactly once.
 func TestChaosSoakFaultFree(t *testing.T) {
-	lc := StartLeakCheck()
-	res, err := RunSoak(SoakConfig{
-		Seed:   42,
-		Agents: 8,
-		Kills:  -1,
-		// Lossless ring: the baseline asserts zero drops of any kind.
-		RingCap: 4096,
-		Logf:    t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("fault-free soak failed: %v", err)
-	}
-	lc.Assert(t)
+	res := runPlan(t, 42, infallible(flatPlan), faultFree)
 	a := res.Agent
 	if a.SendDrops != 0 || a.RingDrops != 0 {
 		t.Fatalf("fault-free run dropped events: %+v", a)
 	}
-	if a.SentEvents != res.JobEvents {
-		t.Fatalf("fault-free run: sent %d, server merged %d", a.SentEvents, res.JobEvents)
+	if fed := uint64(8 * 256); res.Fed != fed || a.SentEvents != fed || res.JobEvents != fed {
+		t.Fatalf("fault-free run: want %d fed == sent == merged, got fed %d, sent %d, server merged %d",
+			fed, res.Fed, a.SentEvents, res.JobEvents)
 	}
-	if res.Server.DupBatches != 0 || res.Server.CorruptFrames != 0 {
-		t.Fatalf("fault-free run saw faults: %+v", res.Server)
+	if res.Root.DupBatches != 0 || res.Root.CorruptFrames != 0 {
+		t.Fatalf("fault-free run saw faults: %+v", res.Root)
+	}
+}
+
+// TestTreeSoakFaultFree pins the baseline equality chain through the whole
+// tree: with no crashes and a lossless ring, every fed event flows
+// fed == enqueued == sent == leaf-admitted == forwarded == acked == root-admitted
+// with zero drops, duplicates, gaps, or skipped stragglers at any tier.
+func TestTreeSoakFaultFree(t *testing.T) {
+	res := runPlan(t, 42, infallible(treePlan), faultFree)
+	fed := uint64(9 * 240)
+	a, lf, fw, rt := res.Agent, res.Leaf, res.Forward, res.Root
+	if a.SendDrops != 0 || a.RingDrops != 0 || a.Rehomes != 0 {
+		t.Fatalf("fault-free run dropped or re-homed: %+v", a)
+	}
+	for name, got := range map[string]uint64{
+		"fed":           res.Fed,
+		"agent sent":    a.SentEvents,
+		"leaf admitted": lf.IngestEvents,
+		"fwd enqueued":  fw.EnqueuedEvents,
+		"fwd acked":     fw.AckedEvents,
+		"root admitted": rt.IngestEvents,
+		"root job view": res.JobEvents,
+	} {
+		if got != fed {
+			t.Errorf("fault-free equality chain broken at %s: %d, want %d", name, got, fed)
+		}
+	}
+	if fw.DroppedEvents != 0 || fw.DroppedRollups != 0 {
+		t.Fatalf("fault-free forwarders dropped: %+v", fw)
+	}
+	if rt.DupRollups != 0 || rt.LostRollups != 0 || rt.RollupSkippedEvents != 0 ||
+		rt.DupBatches != 0 || rt.CorruptFrames != 0 {
+		t.Fatalf("fault-free root saw faults: %+v", rt)
+	}
+	if lf.DupBatches != 0 || lf.LostBatches != 0 || lf.CorruptFrames != 0 {
+		t.Fatalf("fault-free leaves saw faults: %+v", lf)
+	}
+}
+
+// TestMultiJobSoakFaultFree pins the baseline equality chain per job: with
+// no crashes and a lossless ring, every job's fed events flow untouched to
+// the root and every per-job census closes exactly.
+func TestMultiJobSoakFaultFree(t *testing.T) {
+	res := runPlan(t, 42, multiJobPlan, faultFree)
+	a := res.Agent
+	if a.SendDrops != 0 || a.RingDrops != 0 || a.Rehomes != 0 {
+		t.Fatalf("fault-free run dropped or re-homed: %+v", a)
+	}
+	if a.SentEvents != res.Fed {
+		t.Fatalf("fault-free run: fed %d, agents sent %d", res.Fed, a.SentEvents)
+	}
+	if res.JobEvents != res.Fed {
+		t.Fatalf("fault-free run: fed %d, root's per-job censuses sum to %d", res.Fed, res.JobEvents)
+	}
+	for _, j := range res.Jobs {
+		if j.RootEvents != j.Fed {
+			t.Errorf("fault-free run: job %s fed %d, root merged %d", j.ID, j.Fed, j.RootEvents)
+		}
+	}
+}
+
+// TestTreeSoakRehomeGOMAXPROCS1 pins the PR-9-era flake: under -race on a
+// 1-CPU host, seed 18 could revive a killed leaf before any of its homed
+// agents got scheduled to fail a flush into the dead socket, so no stream
+// ever re-homed and the failover assertion fired. The revive is now gated
+// on every homed stream observably leaving the dead address (Agent.Home),
+// which this test replays at the failing seed with GOMAXPROCS pinned to 1
+// so the starvation shape reproduces on any host.
+func TestTreeSoakRehomeGOMAXPROCS1(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	res := runPlan(t, 18, infallible(treePlan), nil)
+	// Seed 18 kills leaves that home live streams, so the condition-gated
+	// revive guarantees at least one observed failover.
+	if res.Agent.Rehomes == 0 {
+		t.Fatalf("expected at least one re-home at seed 18: %+v", res.Agent)
 	}
 }
 
