@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint lint-baseline lint-self chaos fuzz golden golden-update
+.PHONY: check fmt vet build test race lint lint-baseline lint-self chaos fuzz golden golden-update bench-correct
 
 check: fmt vet build race lint lint-self chaos fuzz golden
 
@@ -70,6 +70,21 @@ fuzz:
 	$(GO) test ./internal/export -run '^$$' -fuzz FuzzHeatmapParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzObsSpanDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tsdb -run '^$$' -fuzz FuzzTSDBBlockDecode -fuzztime $(FUZZTIME)
+
+# bench-correct runs every benchmark workload once, briefly, and fails unless
+# its result line (the last one printed) reports "correct":true with
+# "failed":0. A run that completes with wrong books still exits 0, so this is
+# the only gate on the benchmark's outputs. See bench/README.md.
+bench-correct:
+	@for w in sample_node ingest_flat ingest_tree dash_mixed; do \
+		out="$$($(GO) run ./bench --workload $$w --seed 2 --seconds 6 --trace 0)" || exit 1; \
+		line="$$(printf '%s\n' "$$out" | tail -n 1)"; \
+		echo "$$w: $$line"; \
+		case "$$line" in \
+			*'"correct":true,'*'"failed":0,'*) ;; \
+			*) printf '%s\n' "$$out"; echo "bench-correct: $$w is not correct"; exit 1 ;; \
+		esac; \
+	done
 
 # golden gates the end-of-run report layout (paper Listing 2, including the
 # §3.3 stalled column) against internal/report/testdata/. After reviewing an

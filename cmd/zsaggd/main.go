@@ -20,12 +20,13 @@
 // tune it.
 //
 // Daemons compose into an aggregation tree (docs/aggregation.md): a leaf
-// started with -leaf -upstream forwards everything it admits to its parent
-// as rollup frames, agents spread over the leaf tier by consistent hash,
-// and the root answers the job-wide queries exactly as a flat deployment
-// would. -peers publishes the sibling list at GET /api/peers so launchers
-// can discover the failover set; -restore warms a fresh daemon's TSDB from
-// ZSTB dumps.
+// started with -leaf -upstream is a relay that forwards everything it
+// admits to its parent as rollup frames and stores nothing, agents spread
+// over the leaf tier by consistent hash, and the root alone stores and
+// answers the job-wide queries, exactly as a flat deployment would. A leaf
+// serves ingest, /healthz, /metrics, /api/jobs and /debug/obs. -peers
+// publishes the sibling list at GET /api/peers so launchers can discover
+// the failover set; -restore warms a fresh root's TSDB from ZSTB dumps.
 //
 // Usage:
 //
@@ -61,19 +62,23 @@ func main() {
 		nvctx      = flag.Float64("nvctx-per-sec", 0, "contention threshold folded into job summaries (0 = default)")
 		verbose    = flag.Bool("v", false, "log every request")
 		pprofSrv   = flag.Bool("pprof", false, "also serve /debug/pprof profiling endpoints")
-		block      = flag.Duration("block", tsdb.DefaultBlock, "TSDB block width: head chunks seal on this sample-clock boundary")
-		downsample = flag.Duration("downsample", tsdb.DefaultDownsample, "TSDB rollup bucket width computed at chunk seal")
-		retention  = flag.Duration("retention", 0, "drop sealed TSDB chunks older than this behind each job's newest sample (0 = keep everything)")
+		block      = flag.Duration("block", tsdb.DefaultBlock, "TSDB block width: head chunks seal on this sample-clock boundary (root only)")
+		downsample = flag.Duration("downsample", tsdb.DefaultDownsample, "TSDB rollup bucket width computed at chunk seal (root only)")
+		retention  = flag.Duration("retention", 0, "drop sealed TSDB chunks older than this behind each job's newest sample, 0 = keep everything (root only)")
 		leaf       = flag.Bool("leaf", false, "run as a leaf aggregator: forward admitted data upstream as rollup frames (requires -upstream)")
 		upstream   = flag.String("upstream", "", "parent aggregator base URL for leaf mode (implies -leaf)")
 		leafID     = flag.String("leaf-id", "", "leaf identity stamped on rollup frames (default: the listen address)")
 		peers      = flag.String("peers", "", "comma-separated sibling leaf URLs served at GET /api/peers for agent failover discovery")
-		restore    = flag.String("restore", "", "comma-separated ZSTB dump files imported into the TSDB at startup")
+		restore    = flag.String("restore", "", "comma-separated ZSTB dump files imported into the TSDB at startup (root only)")
 	)
 	flag.Parse()
 
 	if *leaf && *upstream == "" {
 		fmt.Fprintln(os.Stderr, "zsaggd: -leaf requires -upstream")
+		os.Exit(2)
+	}
+	if *restore != "" && (*leaf || *upstream != "") {
+		fmt.Fprintln(os.Stderr, "zsaggd: -restore needs a root: a leaf relays and has no TSDB to restore into")
 		os.Exit(2)
 	}
 	cfg := aggd.ServerConfig{
@@ -137,7 +142,7 @@ func main() {
 		defer cancel()
 		httpSrv.Shutdown(shutdownCtx)
 	}()
-	if *retention > 0 {
+	if *retention > 0 && srv.TSDB() != nil {
 		// Appends already retire expired chunks as they seal; the ticker
 		// covers series that stopped appending (a dead rank's history still
 		// ages out against the job's advancing clock).

@@ -76,6 +76,90 @@ func TestForwarderLeafToRoot(t *testing.T) {
 	}
 }
 
+// TestLeafHoldsNoSamples: a leaf is a relay. Every event kind and a
+// snapshot pass through it over real sockets into a root; afterwards the
+// leaf holds no store, no live views and no read routes, while the root
+// holds every sample and the snapshot, and both tiers count the same events.
+func TestLeafHoldsNoSamples(t *testing.T) {
+	root := NewServer(ServerConfig{})
+	rootTS := httptest.NewServer(root.Handler())
+	defer rootTS.Close()
+	leaf := leafFor(rootTS.URL, 1)
+	defer leaf.Close()
+	leafTS := httptest.NewServer(leaf.Handler())
+	defer leafTS.Close()
+
+	b := sampleBatch()
+	var frames [][]byte
+	for seq := uint64(0); seq < 3; seq++ {
+		b.Seq = seq
+		frame, err := EncodeBatchFrame(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	snap, err := EncodeSnapshotFrame(&SnapshotMsg{Origin: b.Origin, Snapshot: testSnapshot(b.Rank, b.Node)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := postFrames(t, leafTS.URL, true, append(frames, snap)...); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("leaf ingest: %s", resp.Status)
+	}
+	if !leaf.Forwarder().Flush() {
+		t.Fatal("flush failed")
+	}
+
+	if leaf.TSDB() != nil {
+		t.Error("leaf built a time-series store")
+	}
+	leaf.eachJob(func(name string, js *jobStore) {
+		js.eachRank(func(key rankKey, rs *rankState) {
+			if rs.views != nil {
+				t.Errorf("leaf keeps live views for %s/%s/%d", name, key.node, key.rank)
+			}
+		})
+	})
+
+	ls, rs := leaf.Stats(), root.Stats()
+	kinds := func(st ServerStats) [5]uint64 {
+		return [5]uint64{st.EventsLWP, st.EventsHWT, st.EventsGPU, st.EventsMem, st.EventsIO}
+	}
+	if kinds(ls) != [5]uint64{3, 3, 3, 3, 3} || kinds(rs) != kinds(ls) {
+		t.Errorf("events by kind: leaf %v, root %v, want 3 of each at both", kinds(ls), kinds(rs))
+	}
+	want := 5*rs.EventsLWP + 3*rs.EventsHWT + rs.EventsGPU + 2*rs.EventsMem + 2*rs.EventsIO
+	if got := root.TSDB().JobStats(b.Job).Samples; got != want {
+		t.Errorf("root stores %d samples, admitted events imply %d", got, want)
+	}
+	if n := root.TSDB().SnapshotCount(b.Job); n != 1 || ls.IngestSnapshots != 1 || rs.IngestSnapshots != 1 {
+		t.Errorf("root stores %d snapshots; leaf took %d, root %d; want 1 each", n, ls.IngestSnapshots, rs.IngestSnapshots)
+	}
+
+	// The reads are the root's; the leaf keeps its census.
+	for _, path := range []string{"summary", "heatmap", "query?metric=lwp.user_pct", "topk?metric=lwp.user_pct", "tsdb"} {
+		url := "/api/job/" + b.Job + "/" + path
+		for _, c := range []struct {
+			base string
+			code int
+		}{{leafTS.URL, http.StatusNotFound}, {rootTS.URL, http.StatusOK}} {
+			resp, err := http.Get(c.base + url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.code {
+				t.Errorf("GET %s%s: %s, want %d", c.base, url, resp.Status, c.code)
+			}
+		}
+	}
+	var jobs []JobInfo
+	getJSON(t, leafTS.URL+"/api/jobs", &jobs)
+	if len(jobs) != 1 || jobs[0].Events != rs.IngestEvents || jobs[0].Ranks != 1 {
+		t.Errorf("leaf census %+v, root admitted %d events", jobs, rs.IngestEvents)
+	}
+}
+
 // TestForwarderDropsBurnSeq checks the failure contract both sides agree
 // on: a rollup abandoned after its retries drops its batches (counted, not
 // resent — the root may have applied it and lost only the ack), burns its

@@ -13,15 +13,19 @@ import (
 	"zerosum/internal/tsdb"
 )
 
-// lwpSeries bundles one LWP stream's cached tsdb handles (one per metric
-// the aggregator derives from an LWP sample).
-type lwpSeries struct {
-	user, sys, vctx, nvctx, stalled *tsdb.Series
+// lwpView is one thread's live view: its cached tsdb handles (one per
+// metric the aggregator derives from an LWP sample) and its latest sample's
+// context-switch counts and stall flag.
+type lwpView struct {
+	userS, sysS, vctxS, nvctxS, stalledS *tsdb.Series
+	vctx, nvctx                          uint64 // cumulative
+	stalled                              bool
 }
 
-// hwtSeries bundles one hardware thread's cached tsdb handles.
-type hwtSeries struct {
-	idle, sys, user *tsdb.Series
+// hwtView is one hardware thread's cached tsdb handles and latest sample.
+type hwtView struct {
+	idleS, sysS, userS *tsdb.Series
+	last               export.HWTSample
 }
 
 type gpuSeriesKey struct {
@@ -29,37 +33,37 @@ type gpuSeriesKey struct {
 	metric string
 }
 
-// resolveLWPSeries pays the series-map lookups for a newly seen TID; every
-// later sample of the stream reuses the handles.
+// resolveLWP pays the series-map lookups for a newly seen TID; every later
+// sample of the stream reuses the handles.
 //
 //zerosum:coldpath
-func resolveLWPSeries(ba *tsdb.BatchAppender, node string, rank, tid int) *lwpSeries {
+func resolveLWP(ba *tsdb.BatchAppender, node string, rank, tid int) *lwpView {
 	key := tsdb.SeriesKey{Node: node, Rank: rank, TID: tid}
-	ls := &lwpSeries{}
+	lv := &lwpView{}
 	key.Metric = metricLWPUserPct
-	ls.user = ba.Resolve(key)
+	lv.userS = ba.Resolve(key)
 	key.Metric = metricLWPSysPct
-	ls.sys = ba.Resolve(key)
+	lv.sysS = ba.Resolve(key)
 	key.Metric = metricLWPVCtx
-	ls.vctx = ba.Resolve(key)
+	lv.vctxS = ba.Resolve(key)
 	key.Metric = metricLWPNVCtx
-	ls.nvctx = ba.Resolve(key)
+	lv.nvctxS = ba.Resolve(key)
 	key.Metric = metricLWPStalled
-	ls.stalled = ba.Resolve(key)
-	return ls
+	lv.stalledS = ba.Resolve(key)
+	return lv
 }
 
 //zerosum:coldpath
-func resolveHWTSeries(ba *tsdb.BatchAppender, node string, rank, cpu int) *hwtSeries {
+func resolveHWT(ba *tsdb.BatchAppender, node string, rank, cpu int) *hwtView {
 	key := tsdb.SeriesKey{Node: node, Rank: rank, TID: cpu}
-	hs := &hwtSeries{}
+	hv := &hwtView{}
 	key.Metric = metricHWTIdlePct
-	hs.idle = ba.Resolve(key)
+	hv.idleS = ba.Resolve(key)
 	key.Metric = metricHWTSysPct
-	hs.sys = ba.Resolve(key)
+	hv.sysS = ba.Resolve(key)
 	key.Metric = metricHWTUserPct
-	hs.user = ba.Resolve(key)
-	return hs
+	hv.userS = ba.Resolve(key)
+	return hv
 }
 
 // Pooled ingest scratch. Every request needs a gzip inflater (its internal
@@ -188,122 +192,110 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// applyBatch merges one batch, reporting whether it was admitted as new
-// data (false: a replay or stale-epoch straggler the dedup skipped).
-// payload is the FrameBatch payload b was decoded from: on a leaf, an
-// admitted batch's payload is also queued for the upstream rollup — under
-// the same shard lock, which is what keeps one origin's batches in
-// admission order on the wire up the tree.
+// applyBatch admits one batch, reporting whether it was new data (false: a
+// replay or stale-epoch straggler the dedup skipped). payload is the
+// FrameBatch payload b was decoded from. A leaf queues an admitted batch's
+// payload for the upstream rollup — under the shard lock, which is what
+// keeps one origin's batches in admission order on the wire up the tree —
+// and keeps nothing else; a root merges it into its store and live views.
 func (s *Server) applyBatch(b *Batch, payload []byte) bool {
 	now := s.cfg.Now()
-	js := s.job(b.Job)
-	sh := js.shardFor(rankKey{node: b.Node, rank: b.Rank})
+	key := rankKey{node: b.Node, rank: b.Rank}
+	sh := s.job(b.Job).shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	rs := sh.rank(rankKey{node: b.Node, rank: b.Rank})
+	rs := sh.rank(key, s.store != nil)
 	rs.lastRecv = now // even a replay proves the stream is alive
 	verdict, gap := rs.seq.admit(b.Epoch, b.Seq)
 	if !verdict.tally(gap, &s.lostBatches, &s.recoveredBatches, &s.dupBatches) {
 		return false
 	}
+	rs.events += uint64(len(b.Events))
 	if s.fwd != nil {
 		s.fwd.EnqueueBatch(payload, len(b.Events))
+	} else {
+		rs.views.merge(s.store, b)
 	}
-	rs.events += uint64(len(b.Events))
-	var nLWP, nHWT, nGPU, nMem, nIO uint64
-	ba := s.store.BeginBatch(b.Job, b.Node, b.Rank)
+	s.ingestBatches.Add(1)
+	s.ingestEvents.Add(uint64(len(b.Events)))
+	var kinds [len(s.kindEvents)]uint64
+	for i := range b.Events {
+		if k := b.Events[i].Kind; k != export.EventHeartbeat { // the decoder admits only known kinds
+			kinds[k]++
+		}
+	}
+	for k, n := range kinds {
+		s.kindEvents[k].Add(n)
+	}
+	return true
+}
+
+// merge appends an admitted batch's samples to store and updates the live
+// views from them.
+//
+//zerosum:locked rankShard.mu callers hold the stream's shard lock
+func (v *rankViews) merge(store *tsdb.Store, b *Batch) {
+	ba := store.BeginBatch(b.Job, b.Node, b.Rank)
 	for i := range b.Events {
 		ev := &b.Events[i]
-		if ev.TimeSec > rs.lastSampleT {
-			rs.lastSampleT = ev.TimeSec
-		}
 		t := tsdb.TimeToNanos(ev.TimeSec)
 		switch ev.Kind {
 		case export.EventLWP:
-			rs.nvctx[ev.LWP.TID] = ev.LWP.NVCtx
-			rs.vctx[ev.LWP.TID] = ev.LWP.VCtx
-			if ev.LWP.Stalled {
-				if !rs.stalled[ev.LWP.TID] {
-					rs.stallEvents++
-				}
-				rs.stalled[ev.LWP.TID] = true
-			} else {
-				delete(rs.stalled, ev.LWP.TID)
+			lv := v.lwp[ev.LWP.TID]
+			if lv == nil {
+				lv = resolveLWP(&ba, b.Node, b.Rank, ev.LWP.TID)
+				v.lwp[ev.LWP.TID] = lv
 			}
-			nLWP++
-			ls := rs.lwpSeries[ev.LWP.TID]
-			if ls == nil {
-				ls = resolveLWPSeries(&ba, b.Node, b.Rank, ev.LWP.TID)
-				rs.lwpSeries[ev.LWP.TID] = ls
+			if ev.LWP.Stalled && !lv.stalled {
+				v.stallEvents++
 			}
-			ba.Append(ls.user, t, ev.LWP.UserPct)
-			ba.Append(ls.sys, t, ev.LWP.SysPct)
-			ba.Append(ls.vctx, t, float64(ev.LWP.VCtx))
-			ba.Append(ls.nvctx, t, float64(ev.LWP.NVCtx))
-			ba.Append(ls.stalled, t, boolSample(ev.LWP.Stalled))
+			lv.vctx, lv.nvctx, lv.stalled = ev.LWP.VCtx, ev.LWP.NVCtx, ev.LWP.Stalled
+			ba.Append(lv.userS, t, ev.LWP.UserPct)
+			ba.Append(lv.sysS, t, ev.LWP.SysPct)
+			ba.Append(lv.vctxS, t, float64(ev.LWP.VCtx))
+			ba.Append(lv.nvctxS, t, float64(ev.LWP.NVCtx))
+			ba.Append(lv.stalledS, t, boolSample(ev.LWP.Stalled))
 		case export.EventHWT:
-			rs.hwt[ev.HWT.CPU] = *ev.HWT
-			nHWT++
-			hs := rs.hwtSeries[ev.HWT.CPU]
-			if hs == nil {
-				hs = resolveHWTSeries(&ba, b.Node, b.Rank, ev.HWT.CPU)
-				rs.hwtSeries[ev.HWT.CPU] = hs
+			hv := v.hwt[ev.HWT.CPU]
+			if hv == nil {
+				hv = resolveHWT(&ba, b.Node, b.Rank, ev.HWT.CPU)
+				v.hwt[ev.HWT.CPU] = hv
 			}
-			ba.Append(hs.idle, t, ev.HWT.IdlePct)
-			ba.Append(hs.sys, t, ev.HWT.SysPct)
-			ba.Append(hs.user, t, ev.HWT.UserPct)
+			hv.last = *ev.HWT
+			ba.Append(hv.idleS, t, ev.HWT.IdlePct)
+			ba.Append(hv.sysS, t, ev.HWT.SysPct)
+			ba.Append(hv.userS, t, ev.HWT.UserPct)
 		case export.EventGPU:
 			if ev.GPU.Metric == "Device Busy %" {
-				rs.gpuBusy[ev.GPU.GPU] = ev.GPU.Value
+				v.gpuBusy[ev.GPU.GPU] = ev.GPU.Value
 			}
-			nGPU++
 			gk := gpuSeriesKey{gpu: ev.GPU.GPU, metric: ev.GPU.Metric}
-			gs := rs.gpuSeries[gk]
+			gs := v.gpuSeries[gk]
 			if gs == nil {
 				gs = ba.Resolve(tsdb.SeriesKey{Node: b.Node, Rank: b.Rank,
 					TID: ev.GPU.GPU, Metric: gpuMetricName(ev.GPU.Metric)})
-				rs.gpuSeries[gk] = gs
+				v.gpuSeries[gk] = gs
 			}
 			ba.Append(gs, t, ev.GPU.Value)
 		case export.EventMem:
-			rs.memFree = ev.Mem.FreeKB
-			rs.memRSS = ev.Mem.ProcRSSKB
-			nMem++
-			if rs.memFreeS == nil {
-				rs.memFreeS = ba.Resolve(tsdb.SeriesKey{Node: b.Node, Rank: b.Rank, Metric: metricMemFreeKB})
-				rs.memRSSS = ba.Resolve(tsdb.SeriesKey{Node: b.Node, Rank: b.Rank, Metric: metricMemRSSKB})
+			v.memFree = ev.Mem.FreeKB
+			v.memRSS = ev.Mem.ProcRSSKB
+			if v.memFreeS == nil {
+				v.memFreeS = ba.Resolve(tsdb.SeriesKey{Node: b.Node, Rank: b.Rank, Metric: metricMemFreeKB})
+				v.memRSSS = ba.Resolve(tsdb.SeriesKey{Node: b.Node, Rank: b.Rank, Metric: metricMemRSSKB})
 			}
-			ba.Append(rs.memFreeS, t, float64(ev.Mem.FreeKB))
-			ba.Append(rs.memRSSS, t, float64(ev.Mem.ProcRSSKB))
+			ba.Append(v.memFreeS, t, float64(ev.Mem.FreeKB))
+			ba.Append(v.memRSSS, t, float64(ev.Mem.ProcRSSKB))
 		case export.EventIO:
-			nIO++
-			if rs.ioReadS == nil {
-				rs.ioReadS = ba.Resolve(tsdb.SeriesKey{Node: b.Node, Rank: b.Rank, Metric: metricIOReadBytes})
-				rs.ioWriteS = ba.Resolve(tsdb.SeriesKey{Node: b.Node, Rank: b.Rank, Metric: metricIOWriteBytes})
+			if v.ioReadS == nil {
+				v.ioReadS = ba.Resolve(tsdb.SeriesKey{Node: b.Node, Rank: b.Rank, Metric: metricIOReadBytes})
+				v.ioWriteS = ba.Resolve(tsdb.SeriesKey{Node: b.Node, Rank: b.Rank, Metric: metricIOWriteBytes})
 			}
-			ba.Append(rs.ioReadS, t, float64(ev.IO.ReadBytes))
-			ba.Append(rs.ioWriteS, t, float64(ev.IO.WriteBytes))
+			ba.Append(v.ioReadS, t, float64(ev.IO.ReadBytes))
+			ba.Append(v.ioWriteS, t, float64(ev.IO.WriteBytes))
 		}
 	}
 	ba.End()
-	s.ingestBatches.Add(1)
-	s.ingestEvents.Add(uint64(len(b.Events)))
-	if nLWP > 0 {
-		s.eventsLWP.Add(nLWP)
-	}
-	if nHWT > 0 {
-		s.eventsHWT.Add(nHWT)
-	}
-	if nGPU > 0 {
-		s.eventsGPU.Add(nGPU)
-	}
-	if nMem > 0 {
-		s.eventsMem.Add(nMem)
-	}
-	if nIO > 0 {
-		s.eventsIO.Add(nIO)
-	}
-	return true
 }
 
 // leafSeq is one downstream leaf's rollup sequence accounting, the same
@@ -395,16 +387,12 @@ const (
 	metricIOWriteBytes = "io.write_bytes"
 )
 
-// gpuMetricNames maps the sampler's GPU metric labels to stable series
-// names; unknown labels fall through to a "gpu."-prefixed copy (an
-// allocation, but only for metrics outside the known sampler set).
-var gpuMetricNames = map[string]string{
-	"Device Busy %": "gpu.busy_pct",
-}
-
+// gpuMetricName maps a sampler GPU metric label to a stable series name;
+// labels outside the known sampler set fall through to a "gpu."-prefixed
+// copy (an allocation, but only on a stream's first sample of the metric).
 func gpuMetricName(label string) string {
-	if name, ok := gpuMetricNames[label]; ok {
-		return name
+	if label == "Device Busy %" {
+		return "gpu.busy_pct"
 	}
 	return "gpu." + label
 }
@@ -416,19 +404,20 @@ func boolSample(v bool) float64 {
 	return 0
 }
 
-// applySnapshot stores one snapshot document; payload is the FrameSnapshot
-// payload msg was decoded from, which a leaf queues for the upstream rollup.
+// applySnapshot takes one snapshot document: a root stores it, a leaf only
+// queues payload, the FrameSnapshot payload msg was decoded from, for the
+// upstream rollup.
 func (s *Server) applySnapshot(msg *SnapshotMsg, payload []byte) {
 	now := s.cfg.Now()
-	js := s.job(msg.Job)
-	sh := js.shardFor(rankKey{node: msg.Node, rank: msg.Rank})
+	key := rankKey{node: msg.Node, rank: msg.Rank}
+	sh := s.job(msg.Job).shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	rs := sh.rank(rankKey{node: msg.Node, rank: msg.Rank})
-	rs.lastRecv = now
-	s.store.SetSnapshot(msg.Job, msg.Node, msg.Rank, msg.Snapshot, msg.CommRow)
-	s.ingestSnapshots.Add(1)
+	sh.rank(key, s.store != nil).lastRecv = now
 	if s.fwd != nil {
 		s.fwd.EnqueueSnapshot(msg.Origin, payload)
+	} else {
+		s.store.SetSnapshot(msg.Job, msg.Node, msg.Rank, msg.Snapshot, msg.CommRow)
 	}
+	s.ingestSnapshots.Add(1)
 }

@@ -155,44 +155,48 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 			if !rs.lastRecv.IsZero() {
 				families[fHeartbeat].add(base, now.Sub(rs.lastRecv).Seconds())
 			}
-			for cpu, hw := range rs.hwt {
-				labels := fmt.Sprintf(`cpu="%d",%s`, cpu, base)
-				families[fIdle].add(labels, hw.IdlePct)
-				families[fSys].add(labels, hw.SysPct)
-				families[fUser].add(labels, hw.UserPct)
-			}
-			var nv, v uint64
-			for _, c := range rs.nvctx {
-				nv += c
-			}
-			for _, c := range rs.vctx {
-				v += c
-			}
-			if len(rs.nvctx) > 0 {
-				families[fNVCtx].add(base, float64(nv))
-				families[fVCtx].add(base, float64(v))
-				families[fStalled].add(base, float64(len(rs.stalled)))
-				families[fStallEvents].add(base, float64(rs.stallEvents))
-			}
-			for gpu, busy := range rs.gpuBusy {
-				families[fGPU].add(fmt.Sprintf(`gpu="%d",%s`, gpu, base), busy)
-			}
-			if rs.memFree > 0 {
-				families[fMemFree].add(base, float64(rs.memFree))
-			}
-			if rs.memRSS > 0 {
-				families[fMemRSS].add(base, float64(rs.memRSS))
+			if v := rs.views; v != nil { // a leaf keeps no live views
+				for cpu, hv := range v.hwt {
+					labels := fmt.Sprintf(`cpu="%d",%s`, cpu, base)
+					families[fIdle].add(labels, hv.last.IdlePct)
+					families[fSys].add(labels, hv.last.SysPct)
+					families[fUser].add(labels, hv.last.UserPct)
+				}
+				var nv, vc, stalled uint64
+				for _, lv := range v.lwp {
+					nv, vc = nv+lv.nvctx, vc+lv.vctx
+					if lv.stalled {
+						stalled++
+					}
+				}
+				if len(v.lwp) > 0 {
+					families[fNVCtx].add(base, float64(nv))
+					families[fVCtx].add(base, float64(vc))
+					families[fStalled].add(base, float64(stalled))
+					families[fStallEvents].add(base, float64(v.stallEvents))
+				}
+				for gpu, busy := range v.gpuBusy {
+					families[fGPU].add(fmt.Sprintf(`gpu="%d",%s`, gpu, base), busy)
+				}
+				if v.memFree > 0 {
+					families[fMemFree].add(base, float64(v.memFree))
+				}
+				if v.memRSS > 0 {
+					families[fMemRSS].add(base, float64(v.memRSS))
+				}
 			}
 		})
 	})
-	for _, job := range s.store.Jobs() {
-		js := s.store.JobStats(job)
-		labels := fmt.Sprintf(`job="%s"`, escapeLabel(job))
-		families[fTSDBSamples].add(labels, float64(js.Samples))
-		families[fTSDBSeries].add(labels, float64(js.Series))
-		families[fTSDBBytes].add(labels, float64(js.Bytes))
-		families[fTSDBSealed].add(labels, float64(js.SealedChunks))
-		families[fTSDBEvicted].add(labels, float64(js.EvictedSamples))
+	if s.store != nil {
+		for _, job := range s.store.Jobs() {
+			js := s.store.JobStats(job)
+			labels := fmt.Sprintf(`job="%s"`, escapeLabel(job))
+			families[fTSDBSamples].add(labels, float64(js.Samples))
+			families[fTSDBSeries].add(labels, float64(js.Series))
+			families[fTSDBBytes].add(labels, float64(js.Bytes))
+			families[fTSDBSealed].add(labels, float64(js.SealedChunks))
+			families[fTSDBEvicted].add(labels, float64(js.EvictedSamples))
+		}
 	}
 	for _, f := range families {
 		if err := f.write(w); err != nil {

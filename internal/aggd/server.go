@@ -2,8 +2,6 @@ package aggd
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -30,14 +28,15 @@ type ServerConfig struct {
 	// MaxBody bounds one ingest request body (default 64 MiB).
 	MaxBody int64
 	// TSDB tunes the embedded time-series store (block width, downsample
-	// step, retention). The zero value takes the store's defaults.
+	// step, retention). The zero value takes the store's defaults. Root
+	// only: a leaf builds no store and ignores it.
 	TSDB tsdb.Options
 	// Forward, when non-nil, runs the server as a leaf of an aggregation
-	// tree: every admitted batch and snapshot document is also queued to a
-	// Forwarder that ships pre-merged rollup frames to Forward.Upstream.
-	// Upstream and LeafID are required — NewServer panics on a Forward
-	// config it cannot start, since a leaf that silently stops forwarding
-	// is worse than one that fails to boot.
+	// tree: a pure relay that queues every admitted batch and snapshot
+	// document to a Forwarder shipping rollup frames to Forward.Upstream,
+	// and stores nothing itself. Upstream and LeafID are required —
+	// NewServer panics on a Forward config it cannot start, since a leaf
+	// that silently stops forwarding is worse than one that fails to boot.
 	Forward *ForwardConfig
 }
 
@@ -46,7 +45,7 @@ type Server struct {
 	cfg    ServerConfig
 	shards [nShards]shard
 	obs    *obs.Recorder // ingest spans + stage stats, served at /debug/obs
-	store  *tsdb.Store   // every admitted sample, compressed and queryable
+	store  *tsdb.Store   // every admitted sample, compressed and queryable; nil on a leaf
 	fwd    *Forwarder    // nil unless this server is a leaf (cfg.Forward)
 
 	// Per-leaf rollup sequence accounting, keyed by the rollup's leaf ID.
@@ -65,14 +64,11 @@ type Server struct {
 	corruptFrames    atomic.Uint64 // frames rejected for checksum/framing damage
 	writeErrors      atomic.Uint64 // response bodies that failed mid-write
 
-	// Admitted events by kind. Dedup runs before these, so each counts a
-	// kind's events exactly once across retries and replays — the soak's
+	// Admitted events by export.EventKind, heartbeats (which carry no
+	// sample) left out. Dedup runs before these, so each counts a kind's
+	// events exactly once across retries and replays — the soak's
 	// sample-conservation audit divides TSDB sample counts by them.
-	eventsLWP atomic.Uint64
-	eventsHWT atomic.Uint64
-	eventsGPU atomic.Uint64
-	eventsMem atomic.Uint64
-	eventsIO  atomic.Uint64
+	kindEvents [export.EventHeartbeat]atomic.Uint64
 
 	// Rollup (tree ingest) accounting. rollupSkippedEvents counts events
 	// inside embedded batches the per-origin dedup rejected — the one
@@ -124,11 +120,11 @@ func (s *Server) Stats() ServerStats {
 		DupBatches:       s.dupBatches.Load(),
 		CorruptFrames:    s.corruptFrames.Load(),
 		WriteErrors:      s.writeErrors.Load(),
-		EventsLWP:        s.eventsLWP.Load(),
-		EventsHWT:        s.eventsHWT.Load(),
-		EventsGPU:        s.eventsGPU.Load(),
-		EventsMem:        s.eventsMem.Load(),
-		EventsIO:         s.eventsIO.Load(),
+		EventsLWP:        s.kindEvents[export.EventLWP].Load(),
+		EventsHWT:        s.kindEvents[export.EventHWT].Load(),
+		EventsGPU:        s.kindEvents[export.EventGPU].Load(),
+		EventsMem:        s.kindEvents[export.EventMem].Load(),
+		EventsIO:         s.kindEvents[export.EventIO].Load(),
 
 		RollupFrames:        s.rollupFrames.Load(),
 		DupRollups:          s.dupRollups.Load(),
@@ -169,10 +165,7 @@ type rankKey struct {
 //
 //zerosum:hotpath
 func (js *jobStore) shardFor(key rankKey) *rankShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key.node); i++ {
-		h = (h ^ uint32(key.node[i])) * 16777619
-	}
+	h := fnv1a(key.node)
 	r := uint32(key.rank)
 	for i := 0; i < 4; i++ {
 		h = (h ^ (r & 0xff)) * 16777619
@@ -194,40 +187,35 @@ func (js *jobStore) eachRank(fn func(key rankKey, rs *rankState)) {
 	}
 }
 
-// rankState is the live view of one (node, rank) stream: the latest sample
-// per resource for /metrics, plus the end-of-run snapshot for the summary.
-// Every field is guarded by the owning rankShard's mutex — rankState cannot
-// name it as a sibling, so the annotations use the lock-class form.
+// rankState is one (node, rank) stream: what relaying and the /api/jobs
+// census need, plus, on a root, the live views. Every field is guarded by
+// the owning rankShard's mutex — rankState cannot name it as a sibling, so
+// the annotations use the lock-class form.
 type rankState struct {
-	lastRecv    time.Time //zerosum:guardedby rankShard.mu server receipt time of the latest frame
-	lastSampleT float64   //zerosum:guardedby rankShard.mu largest sample timestamp seen
-	events      uint64    //zerosum:guardedby rankShard.mu
+	lastRecv time.Time  //zerosum:guardedby rankShard.mu server receipt time of the latest frame
+	events   uint64     //zerosum:guardedby rankShard.mu
+	seq      seqWindow  //zerosum:guardedby rankShard.mu the agent's (epoch, batch seq) dedup
+	views    *rankViews //zerosum:guardedby rankShard.mu nil on a leaf
+}
 
-	seq seqWindow //zerosum:guardedby rankShard.mu the agent's (epoch, batch seq) dedup
-
-	hwt     map[int]export.HWTSample //zerosum:guardedby rankShard.mu
-	gpuBusy map[int]float64          //zerosum:guardedby rankShard.mu
-	nvctx   map[int]uint64           //zerosum:guardedby rankShard.mu per TID, cumulative
-	vctx    map[int]uint64           //zerosum:guardedby rankShard.mu
-	stalled map[int]bool             //zerosum:guardedby rankShard.mu TIDs currently flagged stalled (§3.3)
-	// stallEvents counts false→true transitions of the stalled flag: the
-	// gauge above drops back to zero once a stall clears (or the thread
-	// dies), so this cumulative counter is what proves a stall happened.
-	stallEvents uint64 //zerosum:guardedby rankShard.mu
-	memFree     uint64 //zerosum:guardedby rankShard.mu
-	memRSS      uint64 //zerosum:guardedby rankShard.mu
-
-	// Cached tsdb series handles, resolved once per stream metric and valid
-	// for the store's lifetime (series are never deleted): hashing the
-	// struct-keyed series map per sample dominated the ingest profile, so
-	// the batch path pays the lookup only on each stream's first event.
-	lwpSeries map[int]*lwpSeries            //zerosum:guardedby rankShard.mu per TID
-	hwtSeries map[int]*hwtSeries            //zerosum:guardedby rankShard.mu per CPU
+// rankViews is a root's live view of one stream: the latest sample per
+// resource for /metrics, and cached tsdb series handles, resolved once per
+// stream metric and valid for the store's lifetime (series are never
+// deleted): hashing the struct-keyed series map per sample dominated the
+// ingest profile, so the batch path pays the lookup only on each stream's
+// first event.
+type rankViews struct {
+	lwp       map[int]*lwpView              //zerosum:guardedby rankShard.mu per TID
+	hwt       map[int]*hwtView              //zerosum:guardedby rankShard.mu per CPU
+	gpuBusy   map[int]float64               //zerosum:guardedby rankShard.mu
 	gpuSeries map[gpuSeriesKey]*tsdb.Series //zerosum:guardedby rankShard.mu
-	memFreeS  *tsdb.Series                  //zerosum:guardedby rankShard.mu
-	memRSSS   *tsdb.Series                  //zerosum:guardedby rankShard.mu
-	ioReadS   *tsdb.Series                  //zerosum:guardedby rankShard.mu
-	ioWriteS  *tsdb.Series                  //zerosum:guardedby rankShard.mu
+	// stallEvents counts false→true transitions of a thread's stalled flag:
+	// the stalled gauge drops back to zero once a stall clears (or the
+	// thread dies), so this cumulative counter is what proves a stall
+	// happened.
+	stallEvents                          uint64       //zerosum:guardedby rankShard.mu
+	memFree, memRSS                      uint64       //zerosum:guardedby rankShard.mu
+	memFreeS, memRSSS, ioReadS, ioWriteS *tsdb.Series //zerosum:guardedby rankShard.mu
 }
 
 // NewServer builds an aggregator — the root of a tree (or a flat
@@ -243,7 +231,6 @@ func NewServer(cfg ServerConfig) *Server {
 	s := &Server{
 		cfg:      cfg,
 		obs:      obs.NewRecorder(0),
-		store:    tsdb.NewStore(cfg.TSDB),
 		leafSeqs: make(map[string]*leafSeq), //zerosum:nolock constructor, not yet shared
 	}
 	for i := range s.shards {
@@ -255,6 +242,8 @@ func NewServer(cfg ServerConfig) *Server {
 			panic(fmt.Sprintf("aggd: leaf server misconfigured: %v", err))
 		}
 		s.fwd = fwd
+	} else {
+		s.store = tsdb.NewStore(cfg.TSDB)
 	}
 	return s
 }
@@ -278,7 +267,7 @@ func (s *Server) Obs() *obs.Recorder { return s.obs }
 // TSDB exposes the embedded time-series store: every admitted sample lands
 // there at ingest, and the summary/heatmap endpoints read their snapshots
 // back out of it. A daemon calls its EnforceRetention on a housekeeping
-// tick.
+// tick. It is nil on a leaf, which relays and stores nothing.
 func (s *Server) TSDB() *tsdb.Store { return s.store }
 
 // Handler returns the HTTP API:
@@ -295,25 +284,37 @@ func (s *Server) TSDB() *tsdb.Store { return s.store }
 //	GET  /api/job/{id}/topk       top-k series by one aggregate over a window
 //	GET  /api/job/{id}/tsdb       the job's compressed block set (ZSTB blob)
 //	GET  /debug/obs               self-observability span dump (JSON)
+//
+// A leaf stores nothing, so it serves no /api/job/{id}/* reads (404).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/ingest", s.handleIngest)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /api/jobs", s.handleJobs)
-	mux.HandleFunc("GET /api/job/{id}/summary", s.handleSummary)
-	mux.HandleFunc("GET /api/job/{id}/heatmap", s.handleHeatmap)
-	mux.HandleFunc("GET /api/job/{id}/query", s.handleQuery)
-	mux.HandleFunc("GET /api/job/{id}/topk", s.handleTopK)
-	mux.HandleFunc("GET /api/job/{id}/tsdb", s.handleTSDBDump)
 	mux.Handle("GET /debug/obs", obs.Handler("zsaggd", s.obs, nil))
+	if s.store != nil {
+		mux.HandleFunc("GET /api/job/{id}/summary", s.handleSummary)
+		mux.HandleFunc("GET /api/job/{id}/heatmap", s.handleHeatmap)
+		mux.HandleFunc("GET /api/job/{id}/query", s.handleQuery)
+		mux.HandleFunc("GET /api/job/{id}/topk", s.handleTopK)
+		mux.HandleFunc("GET /api/job/{id}/tsdb", s.handleTSDBDump)
+	}
 	return mux
 }
 
+// fnv1a is hash/fnv's 32-bit FNV-1a of s, hashed inline: a hash.Hash
+// escapes to the heap on every call.
+func fnv1a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
+}
+
 func (s *Server) job(name string) *jobStore {
-	h := fnv.New32a()
-	_, _ = io.WriteString(h, name) // hash.Hash Write is documented never to fail
-	sh := &s.shards[h.Sum32()%nShards]
+	sh := &s.shards[fnv1a(name)%nShards]
 	sh.mu.RLock()
 	js := sh.jobs[name]
 	sh.mu.RUnlock()
@@ -331,29 +332,27 @@ func (s *Server) job(name string) *jobStore {
 
 // lookupJob returns nil when the job is unknown.
 func (s *Server) lookupJob(name string) *jobStore {
-	h := fnv.New32a()
-	_, _ = io.WriteString(h, name) // hash.Hash Write is documented never to fail
-	sh := &s.shards[h.Sum32()%nShards]
+	sh := &s.shards[fnv1a(name)%nShards]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.jobs[name]
 }
 
-// rank returns the shard's state for key, creating it on first contact.
+// rank returns the shard's state for key, creating it on first contact,
+// with live views when the server keeps them (a root).
 //
 //zerosum:locked mu callers ingest under the shard lock
-func (sh *rankShard) rank(key rankKey) *rankState {
+func (sh *rankShard) rank(key rankKey, withViews bool) *rankState {
 	rs := sh.ranks[key]
 	if rs == nil {
-		rs = &rankState{
-			hwt:       make(map[int]export.HWTSample),
-			gpuBusy:   make(map[int]float64),
-			nvctx:     make(map[int]uint64),
-			vctx:      make(map[int]uint64),
-			stalled:   make(map[int]bool),
-			lwpSeries: make(map[int]*lwpSeries),
-			hwtSeries: make(map[int]*hwtSeries),
-			gpuSeries: make(map[gpuSeriesKey]*tsdb.Series),
+		rs = &rankState{}
+		if withViews {
+			rs.views = &rankViews{
+				lwp:       make(map[int]*lwpView),
+				hwt:       make(map[int]*hwtView),
+				gpuBusy:   make(map[int]float64),
+				gpuSeries: make(map[gpuSeriesKey]*tsdb.Series),
+			}
 		}
 		if sh.ranks == nil {
 			sh.ranks = make(map[rankKey]*rankState)

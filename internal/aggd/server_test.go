@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -216,6 +217,18 @@ func TestServerRejectsBadIngest(t *testing.T) {
 	}
 	if srv.ingestErrors.Load() != 2 {
 		t.Fatalf("errors = %d", srv.ingestErrors.Load())
+	}
+}
+
+// TestFNV1aMatchesHashFNV: the inline job-shard hash places every job where
+// hash/fnv's FNV-1a did.
+func TestFNV1aMatchesHashFNV(t *testing.T) {
+	for _, name := range []string{"", "j", "job-42", "multijob-soak-017", "\xff\x00é"} {
+		h := fnv.New32a()
+		h.Write([]byte(name))
+		if got, want := fnv1a(name), h.Sum32(); got != want {
+			t.Errorf("fnv1a(%q) = %#x, hash/fnv says %#x", name, got, want)
+		}
 	}
 }
 

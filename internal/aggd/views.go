@@ -110,7 +110,8 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, resp)
 }
 
-// JobInfo is one entry of /api/jobs.
+// JobInfo is one entry of /api/jobs. A leaf stores no snapshots, so it
+// always reports Snapshots 0.
 type JobInfo struct {
 	Job       string `json:"job"`
 	Nodes     int    `json:"nodes"`
@@ -122,7 +123,10 @@ type JobInfo struct {
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	var jobs []JobInfo
 	s.eachJob(func(name string, js *jobStore) {
-		info := JobInfo{Job: name, Snapshots: s.store.SnapshotCount(name)}
+		info := JobInfo{Job: name}
+		if s.store != nil {
+			info.Snapshots = s.store.SnapshotCount(name)
+		}
 		nodes := map[string]bool{}
 		//zerosum:locked rankShard.mu eachRank holds the shard lock around fn
 		js.eachRank(func(key rankKey, rs *rankState) {

@@ -87,7 +87,10 @@ type Result struct {
 	Agent   aggd.AgentStats
 	Leaf    aggd.ServerStats
 	Forward aggd.FwdStats
-	Root    aggd.ServerStats
+	// LeafSamples and LeafSeries are what the leaves' stores hold, summed
+	// over every incarnation: a leaf relays, so both stay 0.
+	LeafSamples, LeafSeries uint64
+	Root                    aggd.ServerStats
 	// Faults sums every injector: connection cuts are the listeners', the
 	// rest the streams' transports'.
 	Faults    InjectorStats
@@ -202,6 +205,13 @@ func Run(p Plan) (*Result, error) {
 		for _, srv := range append(lh.past, lh.srv) {
 			addCounters(&res.Leaf, srv.Stats())
 			addCounters(&res.Forward, srv.Forwarder().Stats())
+			if st := srv.TSDB(); st != nil {
+				for _, job := range st.Jobs() {
+					js := st.JobStats(job)
+					res.LeafSamples += js.Samples
+					res.LeafSeries += uint64(js.Series)
+				}
+			}
 		}
 	}
 	res.Root = e.root.Stats()
@@ -272,8 +282,9 @@ func (e *engine) leafFaults(i int) error {
 	for _, lh := range e.leaves {
 		switch {
 		case e.dead == nil && lh.killAt > 0 && lh.killAt <= i:
-			// A crash: listener, live connections, store and forward buffer
-			// all go; the open streams that home on the leaf are remembered.
+			// A crash: listener, live connections, dedup state and forward
+			// buffer all go; the open streams that home on the leaf are
+			// remembered.
 			e.dead, lh.killAt = lh, 0
 			lh.front.stop()
 			lh.srv.Forwarder().Kill()

@@ -183,6 +183,12 @@ var treeInvariants = []Invariant{
 			fail("root counted %d lost rollups, forwarders only dropped %d", res.Root.LostRollups, res.Forward.DroppedRollups)
 		}
 	}},
+	// A leaf relays: everything it admitted is stored at the root alone.
+	{"leaf-stores-nothing", func(res *Result, fail failf) {
+		if res.LeafSamples != 0 || res.LeafSeries != 0 {
+			fail("leaves store %d samples in %d series; only the root stores", res.LeafSamples, res.LeafSeries)
+		}
+	}},
 	// Agents must fail over on their own, and in time.
 	{"failover", func(res *Result, fail failf) {
 		if res.KilledOwned && res.Agent.Rehomes == 0 {

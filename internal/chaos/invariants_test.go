@@ -135,6 +135,8 @@ func TestInvariantsBite(t *testing.T) {
 		{"forwarder books", "neither acked nor dropped", func(res *Result) { res.Forward.AckedEvents-- }},
 		{"forwarder books", "pending after close", func(res *Result) { res.Forward.PendingEvents = 1 }},
 		{"phantom rollup gaps", "gap without a drop", func(res *Result) { res.Root.LostRollups = 1 }},
+		{"leaf-stores-nothing", "samples", func(res *Result) { res.LeafSamples = 5 }},
+		{"leaf-stores-nothing", "series", func(res *Result) { res.LeafSeries = 1 }},
 		{"failover", "without re-home", func(res *Result) { res.KilledOwned = true }},
 		{"failover", "wedged gate", func(res *Result) { res.Wedged = errors.New("leaf-1 revived with streams still homed") }},
 		{"tsdb read path", "query", func(res *Result) { res.Root.EventsMem++ }},

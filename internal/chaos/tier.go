@@ -146,9 +146,9 @@ func (e *engine) restart(s *stream, round int) (err error) {
 
 // leafHost is one leaf position in the tree: a stable address and leaf ID,
 // and the succession of server incarnations that lived there. A kill
-// discards the live incarnation (its store, per-origin dedup state, and
-// forward buffer die with it) but keeps the pointer so the audit can close
-// the books over every incarnation's counters.
+// discards the live incarnation (its per-origin dedup state and forward
+// buffer die with it) but keeps the pointer so the audit can close the
+// books over every incarnation's counters.
 type leafHost struct {
 	id    string
 	url   string
@@ -199,8 +199,8 @@ func (lh *leafHost) awaitRehome(timeout time.Duration) error {
 }
 
 // revive restarts lh on its old address as a fresh incarnation — new
-// store, new dedup state, bumped forwarder epoch: the crash model for a
-// leaf daemon whose process is replaced rather than merely reconnected.
+// dedup state, bumped forwarder epoch: the crash model for a leaf daemon
+// whose process is replaced rather than merely reconnected.
 func (e *engine) revive(lh *leafHost, round int) error {
 	lh.epoch++
 	lh.srv = e.newLeaf(lh)
