@@ -32,8 +32,9 @@ race:
 
 # zslint enforces the //zerosum:* conventions: hot-path purity, error
 # handling in the sampling tiers, goroutine lifecycles, wire codec
-# synchronization, injected clocks, and the dataflow concurrency checks
-# (guardedby, lockorder, atomic, goroutinestop). See docs/lint.md.
+# synchronization, injected clocks, the dataflow concurrency checks
+# (guardedby, lockorder, goroutinestop), and exported code nothing but tests
+# uses (deadexport). See docs/lint.md.
 # Findings are ratcheted against lint-baseline.json: only NEW findings
 # fail; after fixing or deliberately accepting one, refresh with
 # `make lint-baseline` and commit the file.

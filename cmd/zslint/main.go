@@ -1,5 +1,5 @@
 // Command zslint runs ZeroSum's repo-specific static checks (hotpath,
-// errcheck, goleak, wiresync, clock, guardedby, lockorder, atomic,
+// errcheck, goleak, wiresync, clock, guardedby, lockorder, deadexport,
 // goroutinestop) over the module containing the given directory. It is
 // stdlib-only — parsing and type-checking use go/parser and go/types with
 // the source importer, so it needs no network and no tools beyond the Go

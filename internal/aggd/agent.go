@@ -438,14 +438,6 @@ func (a *Agent) Stats() AgentStats {
 	}
 }
 
-// Dropped returns the total events lost to ring eviction or failed sends.
-func (a *Agent) Dropped() uint64 {
-	a.mu.Lock()
-	ringDrops := a.ringDrops
-	a.mu.Unlock()
-	return ringDrops + a.sendDrops.Load()
-}
-
 // Close flushes buffered events and stops the sender. The flush is bounded:
 // a shipment already mid-backoff gets one final immediate attempt, and
 // whatever still cannot be delivered is counted as dropped rather than

@@ -61,7 +61,7 @@ func TestDecodeBatchPayloadIntoEquivalence(t *testing.T) {
 	}
 	payload := frame[FrameHeaderLen:]
 
-	fresh, err := DecodeBatchPayload(payload)
+	fresh, err := DecodeBatchPayloadInto(payload, new(BatchBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +190,8 @@ func (w *reusedResponse) WriteHeader(code int)        { w.code = code }
 
 // TestServerIngestWarmAllocs holds the whole ingest handler — mux, gunzip,
 // scan, decode, dedup, merge, TSDB append — to the allocations a warm server
-// spends admitting one 512-event batch of the BenchmarkServerIngest shape
-// (LWP/HWT/Mem, a fresh sequence number every request). The ceilings are the
+// spends admitting one 512-event batch (LWP/HWT/Mem, a fresh sequence
+// number every request). The ceilings are the
 // counts measured when the gate was last tightened; any new allocation on
 // the ingest path fails it. The TSDB's chunk growth is amortised into the
 // average, so the run count is part of the measurement. The leaf row is a

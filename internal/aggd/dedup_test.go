@@ -29,7 +29,7 @@ func applyEncoded(t testing.TB, s *Server, b *Batch) bool {
 		t.Fatal(err)
 	}
 	payload := frame[FrameHeaderLen:]
-	dec, err := DecodeBatchPayload(payload)
+	dec, err := DecodeBatchPayloadInto(payload, new(BatchBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestFrameScannerResync(t *testing.T) {
 		_, payload, err := sc.Next()
 		if err == nil {
 			frames++
-			if b, err := DecodeBatchPayload(payload); err != nil || b.Job != "j" {
+			if b, err := DecodeBatchPayloadInto(payload, new(BatchBuf)); err != nil || b.Job != "j" {
 				t.Fatalf("healthy frame decode: %v", err)
 			}
 			continue

@@ -394,7 +394,7 @@ func TestForwarderRelayMidTier(t *testing.T) {
 	}
 	var in []*rollupView
 	for _, ru := range []*RollupMsg{first, first, second} {
-		frame, err := EncodeRollupFrame(ru)
+		frame, err := AppendRollupFrame(nil, ru)
 		if err != nil {
 			t.Fatal(err)
 		}

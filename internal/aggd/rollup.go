@@ -103,9 +103,6 @@ func appendRollupFrame(dst []byte, leafID string, leafEpoch, seq uint64,
 	return dst[:start+len(frame)], nil
 }
 
-// EncodeRollupFrame encodes ru as one complete frame.
-func EncodeRollupFrame(ru *RollupMsg) ([]byte, error) { return AppendRollupFrame(nil, ru) }
-
 // rollupView is the structural decomposition of a rollup payload: the
 // header fields plus zero-copy slices into the embedded sub-payloads.
 // walkRollupPayload validates the whole structure before the caller

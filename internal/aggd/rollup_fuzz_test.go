@@ -29,11 +29,11 @@ func rollupFuzzSeeds(t testing.TB) map[string][]byte {
 			CommRow:  map[int]uint64{1: 2048},
 		}},
 	}
-	rf, err := EncodeRollupFrame(full)
+	rf, err := AppendRollupFrame(nil, full)
 	if err != nil {
 		t.Fatalf("seed rollup: %v", err)
 	}
-	empty, err := EncodeRollupFrame(&RollupMsg{LeafID: "leaf-1:9101", LeafEpoch: 1})
+	empty, err := AppendRollupFrame(nil, &RollupMsg{LeafID: "leaf-1:9101", LeafEpoch: 1})
 	if err != nil {
 		t.Fatalf("seed empty rollup: %v", err)
 	}
@@ -135,7 +135,7 @@ func checkRollupPayload(t *testing.T, payload []byte) {
 	if decErr != nil {
 		return
 	}
-	re, err := EncodeRollupFrame(ru)
+	re, err := AppendRollupFrame(nil, ru)
 	if err != nil {
 		t.Fatalf("decoded rollup failed to re-encode: %v", err)
 	}

@@ -20,7 +20,7 @@ func mkRollupBatch(node string, rank int, epoch, seq uint64, n int) Batch {
 
 func mkRollup(leaf string, epoch, seq uint64, batches ...Batch) []byte {
 	ru := &RollupMsg{LeafID: leaf, LeafEpoch: epoch, Seq: seq, Batches: batches}
-	frame, err := EncodeRollupFrame(ru)
+	frame, err := AppendRollupFrame(nil, ru)
 	if err != nil {
 		panic(err)
 	}
@@ -42,7 +42,7 @@ func TestRollupRoundTrip(t *testing.T) {
 			CommRow:  map[int]uint64{1: 4096},
 		}},
 	}
-	frame, err := EncodeRollupFrame(ru)
+	frame, err := AppendRollupFrame(nil, ru)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRollupRoundTrip(t *testing.T) {
 	}
 	// Canonicality: re-encoding the decoded message reproduces the frame
 	// byte for byte, the property the fuzz corpus pins.
-	again, err := EncodeRollupFrame(got)
+	again, err := AppendRollupFrame(nil, got)
 	if err != nil {
 		t.Fatal(err)
 	}

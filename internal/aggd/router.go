@@ -114,9 +114,6 @@ func putDecimal(dst []byte, v int) int {
 	return n
 }
 
-// Endpoints returns the router's endpoint list (the constructor's copy).
-func (r *Router) Endpoints() []string { return r.endpoints }
-
 // keyHash hashes a (node, rank) stream key: node bytes, then the rank as
 // 4 little-endian bytes.
 func keyHash(node string, rank int) uint64 {
@@ -134,12 +131,6 @@ func (r *Router) succ(h uint64) int {
 		return 0
 	}
 	return i
-}
-
-// Pick returns the endpoint owning the (node, rank) stream: the first
-// ring point clockwise from the key's hash.
-func (r *Router) Pick(node string, rank int) string {
-	return r.endpoints[r.points[r.succ(keyHash(node, rank))].idx]
 }
 
 // Order returns every endpoint in the stream's failover order: the owner

@@ -157,3 +157,10 @@ func TestRouterOrderProperties(t *testing.T) {
 		}
 	}
 }
+
+// Pick returns the endpoint owning the (node, rank) stream: the first
+// ring point clockwise from the key's hash. It is the reference the tests
+// hold Order's first entry to.
+func (r *Router) Pick(node string, rank int) string {
+	return r.endpoints[r.points[r.succ(keyHash(node, rank))].idx]
+}

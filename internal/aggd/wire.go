@@ -85,9 +85,6 @@ type Origin struct {
 	Rank int
 }
 
-// Key renders the origin for diagnostics.
-func (o Origin) Key() string { return fmt.Sprintf("%s/%s/%d", o.Job, o.Node, o.Rank) }
-
 // Batch is one shipment of stream events from a single rank's agent. Seq
 // increases by one per batch sent, letting the server detect loss and
 // deduplicate retried shipments. Epoch identifies one incarnation of the
@@ -474,12 +471,6 @@ func (bb *BatchBuf) reset() {
 	bb.dict = bb.dict[:0]
 	bb.dictUsed = 0
 	bb.streams.reset()
-}
-
-// DecodeBatchPayload parses a FrameBatch payload into a fresh arena; the
-// result is independently owned by the caller.
-func DecodeBatchPayload(payload []byte) (*Batch, error) {
-	return DecodeBatchPayloadInto(payload, new(BatchBuf))
 }
 
 // fixupEventPayloads assigns each event's payload pointer into the arena.

@@ -80,7 +80,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	if kind != FrameBatch {
 		t.Fatalf("kind = %d", kind)
 	}
-	got, err := DecodeBatchPayload(payload)
+	got, err := DecodeBatchPayloadInto(payload, new(BatchBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestBatchRoundTripEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, payload := readOneFrame(t, frame)
-	got, err := DecodeBatchPayload(payload)
+	got, err := DecodeBatchPayloadInto(payload, new(BatchBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestReadFrameConcatenated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		got, err := DecodeBatchPayload(payload)
+		got, err := DecodeBatchPayloadInto(payload, new(BatchBuf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,10 +193,10 @@ func TestDecodeBatchPayloadRejectsTrailing(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, payload := readOneFrame(t, frame)
-	if _, err := DecodeBatchPayload(append(payload, 0)); err == nil {
+	if _, err := DecodeBatchPayloadInto(append(payload, 0), new(BatchBuf)); err == nil {
 		t.Fatal("trailing byte not rejected")
 	}
-	if _, err := DecodeBatchPayload(payload[:len(payload)-1]); err == nil {
+	if _, err := DecodeBatchPayloadInto(payload[:len(payload)-1], new(BatchBuf)); err == nil {
 		t.Fatal("truncated payload not rejected")
 	}
 }

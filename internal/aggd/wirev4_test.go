@@ -84,7 +84,7 @@ func TestWireV4RoundTripEdgeValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeBatchPayload(frame[FrameHeaderLen:])
+	got, err := DecodeBatchPayloadInto(frame[FrameHeaderLen:], new(BatchBuf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,79 +3,8 @@ package analysis
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
-
-// Histogram bins a sample for terminal display — the stand-in for the
-// paper's Figure 8 runtime-distribution plots.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	N      int
-}
-
-// NewHistogram bins xs into the given number of buckets over [min,max] of
-// the data (expanded slightly so the max lands inside the last bucket).
-// It panics on an empty sample or non-positive bucket count.
-func NewHistogram(xs []float64, buckets int) *Histogram {
-	if len(xs) == 0 {
-		panic("analysis: histogram of empty sample")
-	}
-	if buckets <= 0 {
-		panic("analysis: histogram needs positive bucket count")
-	}
-	s := Summarize(xs)
-	lo, hi := s.Min, s.Max
-	if lo == hi {
-		lo -= 0.5
-		hi += 0.5
-	}
-	span := hi - lo
-	hi += span * 1e-9 // include the max in the last bucket
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, buckets), N: len(xs)}
-	for _, x := range xs {
-		idx := int((x - lo) / (hi - lo) * float64(buckets))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= buckets {
-			idx = buckets - 1
-		}
-		h.Counts[idx]++
-	}
-	return h
-}
-
-// BucketBounds returns bucket i's [lo, hi) range.
-func (h *Histogram) BucketBounds(i int) (float64, float64) {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
-}
-
-// Write renders horizontal bars, one row per bucket.
-func (h *Histogram) Write(w io.Writer, width int) error {
-	if width <= 0 {
-		width = 40
-	}
-	peak := 0
-	for _, c := range h.Counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	if peak == 0 {
-		peak = 1
-	}
-	for i, c := range h.Counts {
-		lo, hi := h.BucketBounds(i)
-		bar := strings.Repeat("#", int(math.Round(float64(c)/float64(peak)*float64(width))))
-		if _, err := fmt.Fprintf(w, "  [%10.4f, %10.4f) %-*s %d\n", lo, hi, width, bar, c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // CompareDistributions renders two labelled samples as side-by-side
 // histograms over a shared range — the Figure 8 view.

@@ -5,67 +5,6 @@ import (
 	"testing"
 )
 
-func TestHistogramBinning(t *testing.T) {
-	xs := []float64{1, 1.1, 1.2, 2.9, 3}
-	h := NewHistogram(xs, 2)
-	if h.N != 5 {
-		t.Fatalf("N = %d", h.N)
-	}
-	if h.Counts[0] != 3 || h.Counts[1] != 2 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	lo, hi := h.BucketBounds(0)
-	if lo != 1 || hi <= lo {
-		t.Fatalf("bounds = %v %v", lo, hi)
-	}
-	// Max value lands inside the last bucket (no off-by-one overflow).
-	if h.Counts[0]+h.Counts[1] != 5 {
-		t.Fatal("sample lost in binning")
-	}
-}
-
-func TestHistogramConstantSample(t *testing.T) {
-	h := NewHistogram([]float64{7, 7, 7}, 4)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("constant sample binned to %d", total)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(nil, 3) },
-		func() { NewHistogram([]float64{1}, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("want panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestHistogramWrite(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 2, 3, 3, 3}, 3)
-	var sb strings.Builder
-	if err := h.Write(&sb, 10); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("rows = %d", len(lines))
-	}
-	if !strings.Contains(lines[2], "##########") {
-		t.Fatalf("peak bucket should have a full bar: %q", lines[2])
-	}
-}
-
 func TestCompareDistributions(t *testing.T) {
 	a := []float64{26.88, 26.89, 26.89, 26.90}
 	b := []float64{26.93, 26.94, 26.94, 26.95}

@@ -20,9 +20,6 @@ func (s *Series) Append(t, v float64) {
 	s.Values = append(s.Values, v)
 }
 
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Times) }
-
 // Mean returns the mean value, or 0 for an empty series.
 func (s *Series) Mean() float64 {
 	if len(s.Values) == 0 {

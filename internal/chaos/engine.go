@@ -140,14 +140,14 @@ type engine struct {
 	injectors []*Injector     // every listener's and stream's
 }
 
-// Run executes p: real aggd agents stream over loopback HTTP through the
+// run executes p: real aggd agents stream over loopback HTTP through the
 // fault layer into a real root (via real leaves, if any) while p's faults
 // fire; then the network heals, final snapshots are delivered, the books are
 // closed and p.Invariants audit them. The returned error (nil on a clean
 // pass) joins every violated invariant.
 //
 //zerosum:wallclock the soak paces live goroutines and rebinding sockets on the host clock
-func Run(p Plan) (*Result, error) {
+func run(p Plan) (*Result, error) {
 	if p.Logf == nil {
 		p.Logf = func(string, ...any) {}
 	}

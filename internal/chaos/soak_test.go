@@ -43,7 +43,7 @@ func runPlan(t *testing.T, seed uint64, plan func(seed uint64) (Plan, error), ad
 	if adjust != nil {
 		adjust(&p)
 	}
-	res, err := Run(p)
+	res, err := run(p)
 	if err != nil {
 		t.Fatalf("soak failed (%s): %v", replay, err)
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-
-	"zerosum/internal/topology"
 )
 
 // WarningKind classifies configuration-evaluation findings (paper §3.2's
@@ -219,22 +217,6 @@ func Evaluate(snap Snapshot, th EvalThresholds) []Warning {
 			out = append(out, Warning{WarnLowMemory, fmt.Sprintf(
 				"system free memory dropped to %.1f%% of %d MB; out-of-memory risk",
 				frac*100, snap.MemTotalKB/1024)})
-		}
-	}
-	return out
-}
-
-// OverlapMatrix returns, for each pair of busy threads, the shared CPU set
-// — the §3.5 contention cross-check ("comparing the affinity list for a
-// given LWP with the other LWPs in the process").
-func OverlapMatrix(snap Snapshot) map[[2]int]topology.CPUSet {
-	out := map[[2]int]topology.CPUSet{}
-	for i := 0; i < len(snap.LWPs); i++ {
-		for j := i + 1; j < len(snap.LWPs); j++ {
-			a, b := snap.LWPs[i], snap.LWPs[j]
-			if shared := a.Affinity.And(b.Affinity); !shared.Empty() {
-				out[[2]int{a.TID, b.TID}] = shared
-			}
 		}
 	}
 	return out

@@ -152,22 +152,6 @@ func TestEvaluateZeroSumThreadExempt(t *testing.T) {
 	}
 }
 
-func TestOverlapMatrix(t *testing.T) {
-	snap := baseSnap()
-	snap.LWPs = []ThreadSummary{
-		{TID: 1, Affinity: topology.RangeCPUSet(1, 3)},
-		{TID: 2, Affinity: topology.RangeCPUSet(3, 5)},
-		{TID: 3, Affinity: topology.NewCPUSet(7)},
-	}
-	m := OverlapMatrix(snap)
-	if len(m) != 1 {
-		t.Fatalf("overlaps = %v", m)
-	}
-	if s, ok := m[[2]int{1, 2}]; !ok || s.String() != "3" {
-		t.Fatalf("overlap[1,2] = %v", m)
-	}
-}
-
 func TestWarningString(t *testing.T) {
 	w := Warning{WarnSingleCore, "boom"}
 	if got := w.String(); !strings.Contains(got, "single-core") || !strings.Contains(got, "boom") {

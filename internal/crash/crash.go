@@ -81,19 +81,6 @@ func (h *Handler) Install(exitFn func(int)) {
 	}()
 }
 
-// Uninstall stops listening (for tests and clean shutdown).
-func (h *Handler) Uninstall() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.installed {
-		return
-	}
-	h.installed = false
-	signal.Stop(h.ch)
-	close(h.ch)
-	<-h.done
-}
-
 // Report writes a backtrace and all registered context immediately.
 func (h *Handler) Report(reason string) {
 	h.mu.Lock()

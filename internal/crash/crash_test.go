@@ -3,6 +3,7 @@ package crash
 import (
 	"fmt"
 	"io"
+	"os/signal"
 	"strings"
 	"sync"
 	"syscall"
@@ -79,4 +80,17 @@ func TestUninstallIdempotent(t *testing.T) {
 	h.Install(func(int) {}) // double install: no-op
 	h.Uninstall()
 	h.Uninstall()
+}
+
+// Uninstall stops listening, so a test can install a handler and clean up.
+func (h *Handler) Uninstall() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.installed {
+		return
+	}
+	h.installed = false
+	signal.Stop(h.ch)
+	close(h.ch)
+	<-h.done
 }

@@ -179,19 +179,6 @@ func WriteGPUCSV(w io.Writer, samples []GPUSample) error {
 	return cw.Error()
 }
 
-// ReadGPUCSV parses what WriteGPUCSV wrote.
-func ReadGPUCSV(r io.Reader) ([]GPUSample, error) {
-	rows, err := readRows(r, len(GPUHeader), "gpu")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]GPUSample, 0, len(rows))
-	for _, rec := range rows {
-		out = append(out, GPUSample{TimeSec: pf(rec[0]), GPU: pi(rec[1]), Metric: rec[2], Value: pf(rec[3])})
-	}
-	return out, nil
-}
-
 // WriteMemCSV writes the memory samples.
 func WriteMemCSV(w io.Writer, samples []MemSample) error {
 	cw := csv.NewWriter(w)

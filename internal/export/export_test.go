@@ -51,9 +51,8 @@ func TestGPUAndMemCSVRoundTrip(t *testing.T) {
 	if err := WriteGPUCSV(&sb, gin); err != nil {
 		t.Fatal(err)
 	}
-	gout, err := ReadGPUCSV(strings.NewReader(sb.String()))
-	if err != nil || !reflect.DeepEqual(gin, gout) {
-		t.Fatalf("gpu round trip: %v %+v", err, gout)
+	if want := "time,gpu,metric,value\n1.0000,0,Device Busy %,14.6161\n"; sb.String() != want {
+		t.Fatalf("gpu csv = %q, want %q", sb.String(), want)
 	}
 	min := []MemSample{{TimeSec: 2, TotalKB: 512 << 20, FreeKB: 100, AvailKB: 200, ProcRSSKB: 42, ProcHWMKB: 50}}
 	sb.Reset()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // The paper's future work (§6) calls for refactoring ZeroSum's log output
@@ -129,16 +128,6 @@ type Step struct {
 	Index uint32
 	Time  float64
 	Vars  map[string][]float64
-}
-
-// VarNames returns the step's variable names, sorted.
-func (st Step) VarNames() []string {
-	out := make([]string, 0, len(st.Vars))
-	for k := range st.Vars {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // StagedReader reads a step stream.

@@ -63,10 +63,9 @@ func TestStagedRoundTrip(t *testing.T) {
 	if steps[0].Vars["mem.free_kb"][0] != 12345 {
 		t.Fatal("second var lost")
 	}
-	if got := steps[1].VarNames(); len(got) != 1 || got[0] != "empty.block" {
-		t.Fatalf("step 1 names: %v", got)
-	}
-	if len(steps[1].Vars["empty.block"]) != 0 {
+	if got, ok := steps[1].Vars["empty.block"]; len(steps[1].Vars) != 1 || !ok {
+		t.Fatalf("step 1 vars: %v", steps[1].Vars)
+	} else if len(got) != 0 {
 		t.Fatal("empty block should stay empty")
 	}
 }

@@ -86,3 +86,24 @@ func TestStreamConcurrent(t *testing.T) {
 		t.Fatalf("delivered = %d, want >= %d", delivered.Load(), publishers*perPub)
 	}
 }
+
+// TestStreamPublishZeroAlloc pins the hot-path contract: publishing with a
+// subscriber attached must not allocate. AllocsPerRun counts
+// process-global mallocs, so the subscriber is a plain closure with no
+// background machinery behind it.
+func TestStreamPublishZeroAlloc(t *testing.T) {
+	ev := Event{
+		Kind:    EventLWP,
+		TimeSec: 1.0,
+		LWP:     &LWPSample{TID: 42, Kind: "Main", State: 'R', UserPct: 90, CPU: 3},
+	}
+	var s Stream
+	delivered := 0
+	s.Subscribe(func(Event) { delivered++ })
+	if avg := testing.AllocsPerRun(1000, func() { s.Publish(ev) }); avg != 0 {
+		t.Errorf("Stream.Publish allocates %.1f times per op with a subscriber attached, want 0", avg)
+	}
+	if delivered == 0 {
+		t.Error("subscriber never ran")
+	}
+}

@@ -269,9 +269,6 @@ func NewSimSMI(devices []*Device, rng *sim.RNG) *SimSMI {
 // DeviceCount implements SMI.
 func (s *SimSMI) DeviceCount() int { return len(s.devices) }
 
-// Device returns the underlying simulated device (for workloads).
-func (s *SimSMI) Device(i int) *Device { return s.devices[i] }
-
 // Info implements SMI.
 func (s *SimSMI) Info(i int) (DeviceInfo, error) {
 	if i < 0 || i >= len(s.devices) {

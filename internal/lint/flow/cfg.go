@@ -2,7 +2,7 @@
 // engine. It builds a control-flow graph over one function body's go/ast
 // (handling if/for/range/switch/type-switch/select/defer/goto and labeled
 // break/continue) and runs a generic forward dataflow solver over it
-// (solve.go). The concurrency checks — guardedby, lockorder, atomic,
+// (solve.go). The concurrency checks — guardedby, lockorder,
 // goroutinestop — sit on top in internal/lint; this package knows nothing
 // about locks or types, only about statement ordering.
 //

@@ -78,7 +78,7 @@ func Checks(opt Options) []Check {
 		clockCheck{scope: opt.ClockScope},
 		guardedbyCheck{},
 		lockorderCheck{},
-		atomicCheck{},
+		deadexportCheck{},
 		goroutinestopCheck{},
 	}
 }
@@ -174,8 +174,8 @@ func inScope(rel string, scope []string) bool {
 // <lock> on struct fields (lock is a sibling field name or Type.field lock
 // class), //zerosum:locked <lock> [why] on functions or closure lines
 // (declares the caller-holds-lock precondition; checked at call sites),
-// //zerosum:nolock <why> on an access line (suppresses guardedby, atomic
-// and lockorder there).
+// //zerosum:nolock <why> on an access line (suppresses guardedby and
+// lockorder there).
 
 const directivePrefix = "//zerosum:"
 

@@ -84,6 +84,79 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// TestDeadexportBitesRealCode proves deadexport catches a break in this
+// repository's own code, not only in its fixture: a copy of the module
+// (every .go file and go.mod, no testdata) lints clean, and the same copy
+// with one uncalled exported func appended to a real file reports exactly
+// that func.
+func TestDeadexportBitesRealCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the module twice")
+	}
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := t.TempDir()
+	err = walkModuleDirs(root, func(dir string) error {
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return err
+		}
+		for _, e := range entries {
+			if e.IsDir() || !(strings.HasSuffix(e.Name(), ".go") || e.Name() == "go.mod") {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				return err
+			}
+			if err := os.MkdirAll(filepath.Join(dst, rel), 0o755); err != nil {
+				return err
+			}
+			if err := os.WriteFile(filepath.Join(dst, rel, e.Name()), data, 0o644); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() []Diagnostic {
+		t.Helper()
+		prog, err := Load(dst)
+		if err != nil {
+			t.Fatalf("load copy: %v", err)
+		}
+		return Run(prog, []Check{deadexportCheck{}})
+	}
+	if diags := run(); len(diags) != 0 {
+		t.Fatalf("unmutated copy has findings: %v", diags)
+	}
+
+	store := filepath.Join(dst, "internal", "tsdb", "store.go")
+	f, err := os.OpenFile(store, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString("\n// Uncalled is the seeded break.\nfunc Uncalled() int { return 0 }\n")
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := run()
+	if len(diags) != 1 || diags[0].File != "internal/tsdb/store.go" || !strings.Contains(diags[0].Message, "tsdb.Uncalled ") {
+		t.Fatalf("mutated copy: want one deadexport finding for tsdb.Uncalled, got %v", diags)
+	}
+}
+
 // TestDiagnosticFormat pins the rendering contract the issue specifies.
 func TestDiagnosticFormat(t *testing.T) {
 	d := Diagnostic{Check: "hotpath", File: "internal/export/stream.go", Line: 7, Col: 2, Message: "calls fmt.Sprintf"}

@@ -160,24 +160,8 @@ func Load(dir string) (*Program, error) {
 // parseModule walks the module tree and parses each package directory.
 func (p *Program) parseModule(ctxt *build.Context) (map[string]*Pkg, error) {
 	byPath := make(map[string]*Pkg)
-	err := filepath.WalkDir(p.Root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != p.Root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if path != p.Root {
-			// A nested module is its own analysis unit; skip it.
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
-		}
-		pkg, err := p.parseDir(ctxt, path)
+	err := walkModuleDirs(p.Root, func(dir string) error {
+		pkg, err := p.parseDir(ctxt, dir)
 		if err != nil {
 			return err
 		}

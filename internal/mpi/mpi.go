@@ -15,7 +15,6 @@ import (
 
 	"zerosum/internal/sched"
 	"zerosum/internal/sim"
-	"zerosum/internal/topology"
 )
 
 // NetParams models the interconnect.
@@ -326,13 +325,4 @@ func (r *Rank) NeighborExchange(offsets []int, bytes uint64) []sched.Action {
 		acts = append(acts, r.RecvActions(src)...)
 	}
 	return acts
-}
-
-// CPUSetUnion is a helper for launchers building rank masks.
-func CPUSetUnion(sets ...topology.CPUSet) topology.CPUSet {
-	var out topology.CPUSet
-	for _, s := range sets {
-		out = out.Or(s)
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 )
 
@@ -15,6 +14,9 @@ type Dump struct {
 	Stats []StageStats `json:"stats,omitempty"`
 	// Spans is the ring's current contents, oldest first.
 	Spans []SpanJSON `json:"spans,omitempty"`
+	// DroppedSpans counts span bodies the ring lost because their slot was
+	// mid-write by a concurrent Record; their stage stats are still counted.
+	DroppedSpans uint64 `json:"dropped_spans,omitempty"`
 	// Self is the overhead accounting; nil for components (like the
 	// aggregator) that do not monitor a victim process.
 	Self *SelfStats `json:"self,omitempty"`
@@ -31,7 +33,7 @@ type SpanJSON struct {
 // BuildDump assembles a Dump from a recorder and optional self stats.
 // rec may be nil (empty stats/spans); self may be nil.
 func BuildDump(name string, rec *Recorder, self *SelfStats) Dump {
-	d := Dump{Name: name, Stats: rec.Stats(), Self: self}
+	d := Dump{Name: name, Stats: rec.Stats(), DroppedSpans: rec.DroppedSpans(), Self: self}
 	for _, sp := range rec.Spans(nil) {
 		d.Spans = append(d.Spans, SpanJSON{
 			Stage:   sp.Stage.String(),
@@ -45,57 +47,6 @@ func BuildDump(name string, rec *Recorder, self *SelfStats) Dump {
 // EncodeDump renders d as JSON.
 func EncodeDump(d Dump) ([]byte, error) {
 	return json.Marshal(d)
-}
-
-// DecodeDump parses and validates a /debug/obs document. It is strict:
-// unknown stage names, negative durations or counts, and inconsistent
-// stage statistics are rejected, so a successful decode means the
-// document could have been produced by EncodeDump.
-func DecodeDump(data []byte) (Dump, error) {
-	var d Dump
-	if err := json.Unmarshal(data, &d); err != nil {
-		return Dump{}, err
-	}
-	seen := map[string]bool{}
-	for i, s := range d.Stats {
-		if _, ok := StageByName(s.Stage); !ok {
-			return Dump{}, fmt.Errorf("obs: stats[%d]: unknown stage %q", i, s.Stage)
-		}
-		if seen[s.Stage] {
-			return Dump{}, fmt.Errorf("obs: stats[%d]: duplicate stage %q", i, s.Stage)
-		}
-		seen[s.Stage] = true
-		if s.Count == 0 && s.Errors == 0 {
-			return Dump{}, fmt.Errorf("obs: stats[%d]: empty entry for %q", i, s.Stage)
-		}
-		if s.TotalNS < 0 || s.MaxNS < 0 || s.MeanNS < 0 {
-			return Dump{}, fmt.Errorf("obs: stats[%d]: negative duration", i)
-		}
-		if s.MaxNS > s.TotalNS {
-			return Dump{}, fmt.Errorf("obs: stats[%d]: max %d exceeds total %d", i, s.MaxNS, s.TotalNS)
-		}
-		if s.Count == 0 && s.TotalNS != 0 {
-			return Dump{}, fmt.Errorf("obs: stats[%d]: duration without spans", i)
-		}
-	}
-	for i, sp := range d.Spans {
-		if _, ok := StageByName(sp.Stage); !ok {
-			return Dump{}, fmt.Errorf("obs: spans[%d]: unknown stage %q", i, sp.Stage)
-		}
-		if sp.DurNS < 0 {
-			return Dump{}, fmt.Errorf("obs: spans[%d]: negative duration", i)
-		}
-	}
-	if s := d.Self; s != nil {
-		if s.Samples < 0 || s.Degradations < 0 || s.StalledLWPs < 0 {
-			return Dump{}, fmt.Errorf("obs: self: negative count")
-		}
-		if s.SelfCPUSec < 0 || s.TickWallSec < 0 || s.ElapsedSec < 0 ||
-			s.OverheadPct < 0 || s.BudgetPct < 0 || s.PeriodSec < 0 {
-			return Dump{}, fmt.Errorf("obs: self: negative duration")
-		}
-	}
-	return d, nil
 }
 
 // Handler serves the /debug/obs endpoint. selfFn may be nil; when set it

@@ -66,17 +66,6 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage(%d)", uint8(s))
 }
 
-// StageByName maps a stage name back to its Stage; ok is false for an
-// unknown name.
-func StageByName(name string) (Stage, bool) {
-	for i, n := range stageNames {
-		if n == name {
-			return Stage(i), true
-		}
-	}
-	return 0, false
-}
-
 // Span is one recorded interval of one stage.
 type Span struct {
 	Stage   Stage

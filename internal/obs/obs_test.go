@@ -346,6 +346,39 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDumpReportsDroppedSpans forces one ring-slot collision and checks
+// that /debug/obs says the ring lost a span body, which its spans alone
+// cannot show.
+func TestDumpReportsDroppedSpans(t *testing.T) {
+	r := NewRecorder(2)
+	r.slots[0].seq.Store(1) // a writer holds slot 0 mid-write
+	r.RecordNS(StageTick, 5, 7)
+	r.RecordNS(StageScan, 9, 3)
+	data, err := EncodeDump(BuildDump("test", r, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Spans        []SpanJSON `json:"spans"`
+		DroppedSpans *uint64    `json:"dropped_spans"`
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.DroppedSpans == nil || *got.DroppedSpans != 1 || len(got.Spans) != 1 {
+		t.Fatalf("dump %s: want dropped_spans 1 beside 1 span", data)
+	}
+
+	// A ring that never collided leaves the field out.
+	data, err = EncodeDump(BuildDump("test", NewRecorder(2), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "dropped_spans") {
+		t.Fatalf("clean dump %s mentions dropped_spans", data)
+	}
+}
+
 func TestDecodeDumpRejects(t *testing.T) {
 	bad := []struct {
 		name string

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"zerosum/internal/sched"
-	"zerosum/internal/sim"
 	"zerosum/internal/topology"
 )
 
@@ -289,10 +288,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// Jitter is a helper for workloads: a deterministic per-thread perturbation
-// in [-spread, +spread] seconds of work, derived from the RNG.
-func Jitter(rng *sim.RNG, spread float64) sim.Time {
-	return sim.FromSeconds((rng.Float64()*2 - 1) * spread)
 }

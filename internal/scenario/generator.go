@@ -57,9 +57,6 @@ func NewGenerator(cfg Config, seed uint64) (*Generator, error) {
 	return &Generator{cfg: cfg.withDefaults(), rng: sim.NewRNG(seed)}, nil
 }
 
-// Config returns the defaulted configuration the generator samples from.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Generate samples cfg.Jobs specs in arrival order. Calling it again
 // continues the stream with more jobs (fresh indices, same RNG).
 func (g *Generator) Generate() []JobSpec {

@@ -17,6 +17,16 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// outcome returns the outcome for a job ID, or nil.
+func outcome(res *scenario.Result, id string) *scenario.JobOutcome {
+	for _, o := range res.Jobs {
+		if o.Spec.ID == id {
+			return o
+		}
+	}
+	return nil
+}
+
 func presets(t *testing.T) []scenario.Config {
 	t.Helper()
 	var out []scenario.Config
@@ -267,11 +277,11 @@ func TestRejectInfeasible(t *testing.T) {
 		{ID: "toomany", Queue: "q", Arrival: 0, Duration: sim.Second, Ranks: 9, Threads: 1, CPUsPerRank: 1},
 	}
 	res := sch.Run(specs)
-	if o := res.Outcome("fits"); o == nil || !o.Done || o.Rejected {
+	if o := outcome(res, "fits"); o == nil || !o.Done || o.Rejected {
 		t.Fatalf("fits: %+v", o)
 	}
 	for _, id := range []string{"toowide", "toomany"} {
-		if o := res.Outcome(id); o == nil || !o.Rejected || o.Done {
+		if o := outcome(res, id); o == nil || !o.Rejected || o.Done {
 			t.Fatalf("%s should be rejected: %+v", id, o)
 		}
 	}
@@ -315,7 +325,7 @@ func TestBuildJobExecutes(t *testing.T) {
 			continue
 		}
 		seen[spec.App] = true
-		o := res.Outcome(spec.ID)
+		o := outcome(res, spec.ID)
 		if o == nil || o.Rejected {
 			continue
 		}

@@ -111,16 +111,6 @@ type Result struct {
 	HorizonSec float64
 }
 
-// Outcome returns the outcome for a job ID, or nil.
-func (r *Result) Outcome(id string) *JobOutcome {
-	for _, o := range r.Jobs {
-		if o.Spec.ID == id {
-			return o
-		}
-	}
-	return nil
-}
-
 type queueState struct {
 	cfg                QueueConfig
 	fair               float64

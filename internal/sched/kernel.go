@@ -198,9 +198,6 @@ func WithAffinity(set topology.CPUSet) TaskOption {
 // WithWakePreempt marks the task's wakeups as preempting (interactive).
 func WithWakePreempt() TaskOption { return func(t *Task) { t.WakePreempts = true } }
 
-// WithNice sets the nice value (recorded in /proc; informational).
-func WithNice(n int) TaskOption { return func(t *Task) { t.Nice = n } }
-
 // NewTask creates an LWP in process p driven by behavior b and makes it
 // runnable immediately.
 func (k *Kernel) NewTask(p *Process, comm string, b Behavior, opts ...TaskOption) *Task {

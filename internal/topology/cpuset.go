@@ -8,7 +8,6 @@ package topology
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -274,29 +273,4 @@ func ParseCPUList(text string) (CPUSet, error) {
 		return CPUSet{}, err
 	}
 	return s, nil
-}
-
-// ParseHexMask parses the Linux comma-grouped hex mask format
-// ("ffffffff,fffffffe" or "ff").
-func ParseHexMask(text string) (CPUSet, error) {
-	var s CPUSet
-	if err := ParseHexMaskInto([]byte(text), &s); err != nil {
-		return CPUSet{}, err
-	}
-	return s, nil
-}
-
-// SortCPUSets orders sets by their first element (empty sets last); used by
-// reports that list per-thread affinity deterministically.
-func SortCPUSets(sets []CPUSet) {
-	sort.SliceStable(sets, func(i, j int) bool {
-		fi, fj := sets[i].First(), sets[j].First()
-		if fi < 0 {
-			return false
-		}
-		if fj < 0 {
-			return true
-		}
-		return fi < fj
-	})
 }

@@ -140,17 +140,17 @@ func TestHexMask(t *testing.T) {
 }
 
 func TestParseHexMask(t *testing.T) {
-	s, err := ParseHexMask("ffffffff,fffffffe")
-	if err != nil {
+	var s CPUSet
+	if err := ParseHexMaskInto([]byte("ffffffff,fffffffe"), &s); err != nil {
 		t.Fatal(err)
 	}
 	if s.Count() != 63 || s.Contains(0) || !s.Contains(63) {
 		t.Fatalf("parsed mask wrong: %s", s.String())
 	}
-	if _, err := ParseHexMask(""); err == nil {
+	if err := ParseHexMaskInto(nil, &s); err == nil {
 		t.Fatal("empty mask should fail")
 	}
-	if _, err := ParseHexMask("zz"); err == nil {
+	if err := ParseHexMaskInto([]byte("zz"), &s); err == nil {
 		t.Fatal("bad hex should fail")
 	}
 }
@@ -224,7 +224,8 @@ func TestQuickCPUSetHexRoundTrip(t *testing.T) {
 		if s.Empty() {
 			return true
 		}
-		parsed, err := ParseHexMask(s.HexMask())
+		var parsed CPUSet
+		err := ParseHexMaskInto([]byte(s.HexMask()), &parsed)
 		return err == nil && parsed.Equal(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -471,4 +472,39 @@ func TestSealRollupsMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bucketize computes a point list's per-bucket aggregates by the same rules
+// seal uses, as an independent reference for chunk rollups.
+func bucketize(ds int64, pts []Point) []Rollup {
+	acc := make(map[int64]*Rollup)
+	for _, p := range pts {
+		bucket := floorDiv(p.T, ds) * ds
+		r := acc[bucket]
+		if r == nil {
+			r = &Rollup{Bucket: bucket, Min: p.V, Max: p.V,
+				First: p.V, Last: p.V, FirstT: p.T, LastT: p.T}
+			acc[bucket] = r
+		}
+		r.Count++
+		r.Sum += p.V
+		if p.V < r.Min {
+			r.Min = p.V
+		}
+		if p.V > r.Max {
+			r.Max = p.V
+		}
+		if p.T < r.FirstT {
+			r.FirstT, r.First = p.T, p.V
+		}
+		if p.T >= r.LastT {
+			r.LastT, r.Last = p.T, p.V
+		}
+	}
+	out := make([]Rollup, 0, len(acc))
+	for _, r := range acc {
+		out = append(out, *r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Bucket < out[j].Bucket })
+	return out
 }

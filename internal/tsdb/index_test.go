@@ -158,25 +158,6 @@ func indexTestStores(t *testing.T) map[string]*Store {
 	}
 	stores["ImportBlockSet"] = byImport
 
-	leafA, leafB := NewStore(indexTestOpts), NewStore(indexTestOpts)
-	for _, key := range keys {
-		for i, p := range samples[key] {
-			leaf := leafA
-			if i%2 == 1 {
-				leaf = leafB
-			}
-			leaf.Append("job", key, p.T, p.V)
-		}
-	}
-	merged, err := MergeBlockSets(indexTestOpts, dump(leafA), dump(leafB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	byMerge := NewStore(indexTestOpts)
-	if _, err := byMerge.ImportBlockSet(merged); err != nil {
-		t.Fatal(err)
-	}
-	stores["MergeBlockSets"] = byMerge
 	return stores
 }
 

@@ -61,9 +61,6 @@ func NewStore(opts Options) *Store {
 	return &Store{opts: opts.withDefaults(), jobs: make(map[string]*jobDB)}
 }
 
-// Options returns the store's resolved tuning.
-func (st *Store) Options() Options { return st.opts }
-
 func (st *Store) job(name string) *jobDB {
 	st.mu.RLock()
 	db := st.jobs[name]
