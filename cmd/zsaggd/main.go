@@ -63,7 +63,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "log every request")
 		pprofSrv   = flag.Bool("pprof", false, "also serve /debug/pprof profiling endpoints")
 		block      = flag.Duration("block", tsdb.DefaultBlock, "TSDB block width: head chunks seal on this sample-clock boundary (root only)")
-		downsample = flag.Duration("downsample", tsdb.DefaultDownsample, "TSDB rollup bucket width computed at chunk seal (root only)")
+		downsample = flag.Duration("downsample", tsdb.DefaultDownsample, "TSDB rollup bucket width in the /tsdb dump's sealed chunks (root only)")
 		retention  = flag.Duration("retention", 0, "drop sealed TSDB chunks older than this behind each job's newest sample, 0 = keep everything (root only)")
 		leaf       = flag.Bool("leaf", false, "run as a leaf aggregator: forward admitted data upstream as rollup frames (requires -upstream)")
 		upstream   = flag.String("upstream", "", "parent aggregator base URL for leaf mode (implies -leaf)")

@@ -1,6 +1,8 @@
 package tsdb
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -49,5 +51,43 @@ func TestChunkAppendZeroAlloc(t *testing.T) {
 		c.append(clock, float64(clock%13))
 	}); got != 0 {
 		t.Fatalf("chunk.append allocates %.1f times per call, want 0", got)
+	}
+}
+
+// TestSealedChunkRetainsOnlyItsBits pins what the store keeps per sample:
+// a store filled at 1 Hz through three default blocks retains its Gorilla
+// bitstreams, chunk headers and series, and nothing precomputed beside
+// them: about 6 B/sample on amd64, with the limit a quarter above that.
+// Per-bucket aggregates stored at seal would add about 15 B/sample.
+func TestSealedChunkRetainsOnlyItsBits(t *testing.T) {
+	const series, seconds = 2000, 3*60 + 1 // three sealed blocks, one sample in the head
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	st := NewStore(Options{})
+	rng := rand.New(rand.NewSource(3))
+	for s := 0; s < series; s++ {
+		key := SeriesKey{Node: "node0", Rank: s / 20, TID: s, Metric: "lwp.user_pct"}
+		v := 50.0
+		for i := 0; i < seconds; i++ {
+			v += float64(rng.Intn(5) - 2)
+			st.Append("job", key, int64(i)*1e9, v)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	js := st.JobStats("job")
+	runtime.KeepAlive(st)
+
+	if js.SealedChunks != 3*series {
+		t.Fatalf("%d sealed chunks, want %d", js.SealedChunks, 3*series)
+	}
+	perSample := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(js.Samples)
+	t.Logf("%.1f B retained per sample (%.1f B of it bitstream)", perSample, float64(js.Bytes)/float64(js.Samples))
+	if limit := 8.0; perSample > limit {
+		t.Fatalf("the store retains %.1f B per sample, want at most %.1f", perSample, limit)
 	}
 }

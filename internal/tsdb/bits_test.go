@@ -444,8 +444,8 @@ func TestIterErrIsSticky(t *testing.T) {
 }
 
 // TestSealRollupsMatchReference feeds a chunk in-order samples with
-// stragglers mixed in and checks seal's insertion-built rollups against the
-// map-and-sort reference.
+// stragglers mixed in, seals it, and checks the insertion-built rollups a
+// dump carries (rollupsOf) against the map-and-sort reference.
 func TestSealRollupsMatchReference(t *testing.T) {
 	const ds = int64(5e9)
 	rng := rand.New(rand.NewSource(5))
@@ -461,21 +461,22 @@ func TestSealRollupsMatchReference(t *testing.T) {
 			pts = append(pts, p)
 			c.append(p.T, p.V)
 		}
-		c.seal(ds)
+		c.seal()
+		got := c.rollupsOf(ds)
 		want := bucketize(ds, pts)
-		if len(c.rollups) != len(want) {
-			t.Fatalf("round %d: %d rollups, reference %d", round, len(c.rollups), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d rollups, reference %d", round, len(got), len(want))
 		}
 		for i := range want {
-			if c.rollups[i] != want[i] {
-				t.Fatalf("round %d rollup %d: %+v, reference %+v", round, i, c.rollups[i], want[i])
+			if got[i] != want[i] {
+				t.Fatalf("round %d rollup %d: %+v, reference %+v", round, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // bucketize computes a point list's per-bucket aggregates by the same rules
-// seal uses, as an independent reference for chunk rollups.
+// rollupsOf uses, as an independent reference for chunk rollups.
 func bucketize(ds int64, pts []Point) []Rollup {
 	acc := make(map[int64]*Rollup)
 	for _, p := range pts {

@@ -39,6 +39,22 @@ const (
 // uniform across the two formats.
 var blockCRC = crc32.MakeTable(crc32.Castagnoli)
 
+// Rollup is one downsample bucket's aggregate of a sealed chunk, as a ZSTB
+// dump carries it. Sum and Count reconstruct the mean; First/Last (with
+// their timestamps) give a reader of the dump last-value and delta
+// aggregations without decompression.
+type Rollup struct {
+	Bucket int64 // bucket start, sample-clock nanos
+	Count  uint32
+	Min    float64
+	Max    float64
+	Sum    float64
+	First  float64
+	Last   float64
+	FirstT int64
+	LastT  int64
+}
+
 // BlockChunk is one decoded chunk: metadata, rollups, and the still-
 // compressed bitstream.
 type BlockChunk struct {
@@ -87,14 +103,17 @@ func (st *Store) MarshalJob(job string) ([]byte, error) {
 }
 
 // snapshotBlocks captures the job's chunk inventory as a BlockSet under the
-// shard locks. Sealed chunk data is immutable and shared; head chunk
-// bitstreams are cloned while locked because appends keep mutating them.
+// shard locks. Sealed chunk data is immutable and shared, and its rollups
+// are computed here, on Options.Downsample buckets; head chunks carry no
+// rollups, and their bitstreams are cloned while locked because appends
+// keep mutating them.
 func (st *Store) snapshotBlocks(job string) (*BlockSet, error) {
 	db := st.lookupJob(job)
 	if db == nil {
 		return nil, fmt.Errorf("tsdb: unknown job %q", job)
 	}
 	bs := &BlockSet{Job: job}
+	ds := int64(st.opts.Downsample)
 	//zerosum:locked seriesShard.mu eachShard holds the shard lock around fn
 	db.eachShard(func(sh *seriesShard) {
 		for key, s := range sh.series {
@@ -104,8 +123,10 @@ func (st *Store) snapshotBlocks(job string) (*BlockSet, error) {
 					return
 				}
 				fc := BlockChunk{Part: c.part, TMin: c.tMin, TMax: c.tMax,
-					Count: c.count, Rollups: c.rollups, Data: c.w.bytes()}
-				if !c.sealed {
+					Count: c.count, Data: c.w.bytes()}
+				if c.sealed {
+					fc.Rollups = c.rollupsOf(ds)
+				} else {
 					fc.Data = append([]byte(nil), fc.Data...)
 				}
 				fs.Chunks = append(fs.Chunks, fc)
@@ -124,6 +145,60 @@ func (st *Store) snapshotBlocks(job string) (*BlockSet, error) {
 		}
 	}
 	return bs, nil
+}
+
+// rollupsOf decodes the chunk once and aggregates it on ds-wide buckets,
+// sorted by bucket start: the rollups a ZSTB dump carries for a sealed
+// chunk. Nothing in the store keeps them.
+func (c *chunk) rollupsOf(ds int64) []Rollup {
+	if c.count == 0 {
+		return nil
+	}
+	// Samples arrive in bucket order except for stragglers, so the rollups
+	// build as a sorted slice: a sample nearly always lands in the last
+	// rollup or opens the next one, and a straggler's bucket is found (or
+	// inserted in place) by walking back from the end.
+	n := floorDiv(c.tMax, ds) - floorDiv(c.tMin, ds) + 1
+	if n <= 0 || n > int64(c.count) {
+		n = int64(c.count)
+	}
+	rollups := make([]Rollup, 0, n)
+	var it gIter
+	it.init(c.w.bytes(), c.count)
+	for it.Next() {
+		t, v := it.At()
+		bucket := floorDiv(t, ds) * ds
+		i := len(rollups)
+		for i > 0 && rollups[i-1].Bucket > bucket {
+			i--
+		}
+		if i == 0 || rollups[i-1].Bucket != bucket {
+			rollups = append(rollups, Rollup{})
+			copy(rollups[i+1:], rollups[i:])
+			rollups[i] = Rollup{Bucket: bucket, Min: v, Max: v,
+				First: v, Last: v, FirstT: t, LastT: t}
+			i++
+		}
+		r := &rollups[i-1]
+		r.Count++
+		r.Sum += v
+		if v < r.Min {
+			r.Min = v
+		}
+		if v > r.Max {
+			r.Max = v
+		}
+		if t < r.FirstT {
+			r.FirstT, r.First = t, v
+		}
+		if t >= r.LastT {
+			r.LastT, r.Last = t, v
+		}
+	}
+	// The chunk encoded its own samples; decoding them back cannot fail.
+	// (A decode error here would mean a writer bug, not bad input — the
+	// rollups just come out shorter.)
+	return rollups
 }
 
 // marshalBlockSet renders the ZSTB wire form of a block inventory.

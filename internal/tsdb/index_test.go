@@ -13,7 +13,7 @@ import (
 // scanQuery is the brute-force reading of a query: walk every series of
 // the job, keep those whose whole key matches the selector, decode all of
 // their samples, and bucket them. It knows nothing of the metric index,
-// the single-shard shortcut, rollups or scratch reuse.
+// the single-shard shortcut or scratch reuse.
 func scanQuery(st *Store, job string, opts QueryOpts) []SeriesResult {
 	db := st.lookupJob(job)
 	if db == nil {
@@ -74,7 +74,7 @@ var indexTestOpts = Options{Block: 10 * time.Second, Downsample: 2 * time.Second
 // apart: three metrics, three nodes, rank 0 present on two nodes, several
 // tids per rank, 45 s of 1 Hz samples (four sealed blocks and a head) with
 // a few stragglers. Values are small integers so sums are exact however
-// they are associated (rollup fold against sample-by-sample).
+// they are associated (chunk order against time order).
 func indexTestSamples() (keys []SeriesKey, samples map[SeriesKey][]Point) {
 	rng := rand.New(rand.NewSource(42))
 	samples = map[SeriesKey][]Point{}
@@ -185,6 +185,22 @@ func randomSelector(rng *rand.Rand) QueryOpts {
 
 func TestQueryIndexMatchesScan(t *testing.T) {
 	for name, st := range indexTestStores(t) {
+		// An aligned step over the four sealed blocks and the head, for
+		// every aggregation: each bucket folds whole decoded chunks.
+		if js := st.JobStats("job"); js.SealedChunks == 0 {
+			t.Fatalf("%s: no sealed chunks", name)
+		}
+		for agg := range AggKind(len(aggNames)) {
+			opts := QueryOpts{Metric: "a", Rank: -1, TID: -1, Start: 0, End: 50e9, Step: 10e9, Agg: agg}
+			got, err := st.Query("job", opts)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, agg, err)
+			}
+			if want := scanQuery(st, "job", opts); len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s aligned %v:\n index %v\n scan  %v", name, agg, got, want)
+			}
+		}
+
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 600; i++ {
 			opts := randomSelector(rng)

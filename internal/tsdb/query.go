@@ -107,9 +107,7 @@ type SeriesResult struct {
 // by (rank, node, tid). Only the series of opts.Metric are visited (each
 // shard indexes its series by metric), only the owning shard is locked when
 // both node and rank are given, only chunks overlapping the window are
-// read, and sealed chunks are folded from their rollups whenever the step
-// grid aligns with the downsample grid — the compressed bitstream stays
-// untouched for those.
+// read, and those are decoded and folded sample by sample.
 func (st *Store) Query(job string, opts QueryOpts) ([]SeriesResult, error) {
 	nBuckets, err := opts.validate()
 	if err != nil {
@@ -119,10 +117,7 @@ func (st *Store) Query(job string, opts QueryOpts) ([]SeriesResult, error) {
 	if db == nil {
 		return nil, nil
 	}
-	ds := int64(st.opts.Downsample)
-	ev := evaluator{opts: opts,
-		rollupOK: opts.Step%ds == 0 && opts.Start%ds == 0,
-		buckets:  make([]bucketAcc, nBuckets)}
+	ev := evaluator{opts: opts, buckets: make([]bucketAcc, nBuckets)}
 	var out []SeriesResult
 	if opts.Node != "" && opts.Rank >= 0 {
 		out = ev.evalShard(db.shardForOrigin(opts.Node, opts.Rank), out)
@@ -182,29 +177,6 @@ func (b *bucketAcc) addSample(t int64, v float64) {
 	b.sum += v
 }
 
-func (b *bucketAcc) addRollup(r *Rollup) {
-	if b.count == 0 {
-		b.min, b.max = r.Min, r.Max
-		b.first, b.firstT = r.First, r.FirstT
-		b.last, b.lastT = r.Last, r.LastT
-	} else {
-		if r.Min < b.min {
-			b.min = r.Min
-		}
-		if r.Max > b.max {
-			b.max = r.Max
-		}
-		if r.FirstT < b.firstT {
-			b.firstT, b.first = r.FirstT, r.First
-		}
-		if r.LastT >= b.lastT {
-			b.lastT, b.last = r.LastT, r.Last
-		}
-	}
-	b.count += uint64(r.Count)
-	b.sum += r.Sum
-}
-
 func (b *bucketAcc) value(agg AggKind) float64 {
 	switch agg {
 	case AggMin:
@@ -227,9 +199,8 @@ func (b *bucketAcc) value(agg AggKind) float64 {
 // evaluator is one query's resolved options plus the scratch it reuses
 // across every series it visits.
 type evaluator struct {
-	opts     QueryOpts
-	rollupOK bool        // the step grid nests the downsample grid
-	buckets  []bucketAcc // one per step bucket; cleared per series
+	opts    QueryOpts
+	buckets []bucketAcc // one per step bucket; cleared per series
 }
 
 // evalShard appends the shard's matching series to out. It holds the
@@ -288,16 +259,6 @@ func (ev *evaluator) evalSeries(s *Series) []Point {
 func (ev *evaluator) foldChunk(c *chunk) {
 	start, end, step := ev.opts.Start, ev.opts.End, ev.opts.Step
 	if !c.overlaps(start, end) {
-		return
-	}
-	// Rollup fast path: every rollup bucket nests inside exactly one step
-	// bucket when the grids align and the chunk sits fully inside the
-	// window; otherwise decode the overlap.
-	if ev.rollupOK && c.sealed && c.rollups != nil && c.tMin >= start && c.tMax < end {
-		for i := range c.rollups {
-			r := &c.rollups[i]
-			ev.buckets[(r.Bucket-start)/step].addRollup(r)
-		}
 		return
 	}
 	var it gIter

@@ -1,7 +1,9 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -123,16 +125,16 @@ func TestQuerySteppedAggregations(t *testing.T) {
 	check(AggDelta, [3]float64{9, 9, 9})
 }
 
-// TestQueryRollupMatchesRaw is the load-bearing equivalence: for aligned
-// steps over sealed chunks the rollup fast path must produce exactly what
-// decoding would, for every aggregation.
+// TestQueryRollupMatchesRaw pins a stepped query over sealed chunks, with
+// steps on the downsample grid (the buckets a ZSTB dump's rollups cover),
+// to a manual recompute from the raw samples, for every aggregation.
 func TestQueryRollupMatchesRaw(t *testing.T) {
 	// Block 10s, downsample 2s: sealing happens often, and step 10s aligns.
 	st := NewStore(Options{Block: 10 * time.Second, Downsample: 2 * time.Second})
 	fill(st, "j", "m", 3, 95, 100) // 9 sealed blocks + live head per series
 	js := st.JobStats("j")
 	if js.SealedChunks < 9*3 {
-		t.Fatalf("want sealed chunks to exercise the fast path, got %d", js.SealedChunks)
+		t.Fatalf("want sealed chunks under the query, got %d", js.SealedChunks)
 	}
 	for _, agg := range []AggKind{AggMean, AggMin, AggMax, AggSum, AggCount, AggLast, AggDelta} {
 		aligned, err := st.Query("j", QueryOpts{
@@ -142,8 +144,6 @@ func TestQueryRollupMatchesRaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Misaligned start forces the decode path for the same buckets
-		// shifted by 1s; instead compare against a manual recompute.
 		for _, sr := range aligned {
 			r := sr.Key.Rank
 			for _, p := range sr.Points {
@@ -158,7 +158,7 @@ func TestQueryRollupMatchesRaw(t *testing.T) {
 				}
 				want := acc.value(agg)
 				if p.V != want && !(math.IsNaN(p.V) && math.IsNaN(want)) {
-					t.Fatalf("agg %v rank %d bucket %d: fast path %v, manual %v", agg, r, p.T, p.V, want)
+					t.Fatalf("agg %v rank %d bucket %d: query %v, manual %v", agg, r, p.T, p.V, want)
 				}
 			}
 		}
@@ -168,8 +168,8 @@ func TestQueryRollupMatchesRaw(t *testing.T) {
 func TestQueryMisalignedStepDecodes(t *testing.T) {
 	st := NewStore(Options{Block: 10 * time.Second, Downsample: 2 * time.Second})
 	fill(st, "j", "m", 1, 40, 0)
-	// Step 7s does not divide by the 2s downsample: every bucket must come
-	// from raw decode and still be exact.
+	// Step 7s does not divide by the 2s downsample: buckets straddle
+	// chunk and rollup boundaries and must still be exact.
 	res, err := st.Query("j", QueryOpts{
 		Metric: "m", Rank: -1, TID: -1, Start: 0, End: 40e9, Step: 7e9, Agg: AggSum,
 	})
@@ -357,5 +357,38 @@ func TestParseAgg(t *testing.T) {
 		if got := k.String(); got != "mean" {
 			t.Fatalf("out-of-range kind %d renders %q, want the default %q", k, got, "mean")
 		}
+	}
+}
+
+// BenchmarkQueryLongWindow times an hour-long stepped query over 576
+// series of 1 Hz random-walk samples, every chunk but the heads sealed,
+// with steps on the default downsample grid: the shape a stored per-bucket
+// aggregate would serve without decoding. The store holds only bits, so
+// each op decodes the hour of every series.
+func BenchmarkQueryLongWindow(b *testing.B) {
+	const series, seconds = 576, 3600
+	st := NewStore(Options{})
+	rng := rand.New(rand.NewSource(9))
+	for s := 0; s < series; s++ {
+		ba := st.BeginBatch("job", "node0", s/8)
+		h := ba.Resolve(SeriesKey{Node: "node0", Rank: s / 8, TID: s, Metric: "lwp.user_pct"})
+		v := 50.0
+		for i := 0; i < seconds; i++ {
+			v += rng.NormFloat64()
+			ba.Append(h, int64(i)*1e9, v)
+		}
+		ba.End()
+	}
+	for _, step := range []time.Duration{DefaultDownsample, time.Minute} {
+		b.Run(fmt.Sprintf("step=%v", step), func(b *testing.B) {
+			opts := QueryOpts{Metric: "lwp.user_pct", Rank: -1, TID: -1,
+				Start: 0, End: seconds * 1e9, Step: int64(step), Agg: AggMean}
+			for i := 0; i < b.N; i++ {
+				res, err := st.Query("job", opts)
+				if err != nil || len(res) != series {
+					b.Fatalf("%d series, %v", len(res), err)
+				}
+			}
+		})
 	}
 }

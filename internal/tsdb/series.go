@@ -20,12 +20,12 @@ type evicted struct {
 }
 
 // append lands one sample, sealing the head into a block and enforcing
-// retention when the sample clock crosses a block boundary. block, ds and
+// retention when the sample clock crosses a block boundary. block and
 // cutoff come resolved from the store so the steady path does no option
 // math. cutoff < 0 disables retention. The caller holds the shard lock.
 //
 //zerosum:hotpath
-func (s *Series) append(t int64, v float64, block, ds, cutoff int64) evicted {
+func (s *Series) append(t int64, v float64, block, cutoff int64) evicted {
 	var ev evicted
 	h := s.head
 	if h == nil {
@@ -35,7 +35,7 @@ func (s *Series) append(t int64, v float64, block, ds, cutoff int64) evicted {
 		// Forward boundary crossing (or a full chunk) seals; a straggler
 		// older than the head's block still lands in the head, because a
 		// sealed chunk is immutable by contract.
-		h.seal(ds)
+		h.seal()
 		s.sealed = append(s.sealed, h)
 		ev = s.retain(cutoff)
 		h = newChunk(floorDiv(t, block) * block)

@@ -137,7 +137,6 @@ type BatchAppender struct {
 	db     *jobDB
 	sh     *seriesShard
 	block  int64
-	ds     int64
 	cutoff int64
 
 	samples   uint64
@@ -160,8 +159,7 @@ func (st *Store) BeginBatch(job, node string, rank int) BatchAppender {
 	sh := db.shardForOrigin(node, rank)
 	sh.mu.Lock()
 	return BatchAppender{st: st, db: db, sh: sh,
-		block: int64(st.opts.Block), ds: int64(st.opts.Downsample),
-		cutoff: cutoff, maxT: minInt64}
+		block: int64(st.opts.Block), cutoff: cutoff, maxT: minInt64}
 }
 
 // Resolve returns the shard-owned series for key, creating it on first
@@ -189,7 +187,7 @@ func (a *BatchAppender) Resolve(key SeriesKey) *Series {
 //
 //zerosum:hotpath
 func (a *BatchAppender) Append(s *Series, t int64, v float64) {
-	ev := s.append(t, v, a.block, a.ds, a.cutoff)
+	ev := s.append(t, v, a.block, a.cutoff)
 	a.samples++
 	if ev.chunks > 0 {
 		a.evChunks += uint64(ev.chunks)

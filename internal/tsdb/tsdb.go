@@ -11,11 +11,12 @@
 // Facebook Gorilla encoding — delta-of-delta timestamps and XOR-compressed
 // float64 values packed into a bitstream — and seals the head into an
 // immutable chunk when the sample time crosses a block boundary (Options.
-// Block) or the chunk fills. Sealing computes downsampled rollups (count /
-// min / max / sum / first / last per Options.Downsample bucket), so coarse
-// range queries over sealed data fold rollups without touching the
-// compressed bitstream, and queries only ever decompress chunks whose time
-// range overlaps the window — untouched series and blocks stay compressed.
+// Block) or the chunk fills. A sealed chunk keeps only its bitstream:
+// queries decompress the chunks whose time range overlaps the window and
+// fold their samples, and untouched series and blocks stay compressed. The
+// ZSTB dump (MarshalJob) adds downsampled rollups (count / min / max / sum
+// / first / last per Options.Downsample bucket) to each sealed chunk as it
+// writes it.
 // Each shard also lists its series by metric, so a query visits the series
 // of the one metric it names, not every series of the job.
 // Retention (Options.Retention) evicts sealed chunks whose newest sample
@@ -42,7 +43,7 @@ import (
 const (
 	// DefaultBlock is the time span one sealed chunk covers.
 	DefaultBlock = time.Minute
-	// DefaultDownsample is the rollup bucket width computed at seal.
+	// DefaultDownsample is the rollup bucket width of a dump's sealed chunks.
 	DefaultDownsample = 5 * time.Second
 	// maxChunkSamples seals a chunk early so one series flooding samples
 	// inside a single block cannot grow a chunk without bound.
@@ -55,8 +56,9 @@ type Options struct {
 	// Block is the sample-time span of one chunk; crossing a block boundary
 	// seals the head chunk into an immutable one (default DefaultBlock).
 	Block time.Duration
-	// Downsample is the rollup bucket width computed when a chunk seals
-	// (default DefaultDownsample, clamped to at most Block).
+	// Downsample is the bucket width of the rollups MarshalJob writes for
+	// each sealed chunk (default DefaultDownsample, clamped to at most
+	// Block). The store itself keeps no rollups; queries never read them.
 	Downsample time.Duration
 	// Retention bounds how far back of the series' newest sample sealed
 	// chunks are kept; 0 keeps everything. Eviction happens when a series
