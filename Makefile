@@ -67,6 +67,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/aggd -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/aggd -run '^$$' -fuzz FuzzRollupFrameDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/aggd -run '^$$' -fuzz FuzzGzipRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/proc -run '^$$' -fuzz FuzzProcStatParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/export -run '^$$' -fuzz FuzzHeatmapParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzObsSpanDecode -fuzztime $(FUZZTIME)

@@ -40,6 +40,8 @@ type shipper struct {
 
 var errKilled = errors.New("aggd: shipper killed before its first attempt")
 
+var gzipEncoders = sync.Pool{New: func() any { return new(gzipEncoder) }}
+
 // newShipper applies the retry defaults AgentConfig and ForwardConfig
 // document. The jitter is seeded from the owner's identity (the strings,
 // xored with salt) so replaying a run replays the same delays; the values
@@ -89,15 +91,11 @@ func (s *shipper) stop(kill bool) {
 func (s *shipper) post(url string, frame []byte) error {
 	body, encoding := frame, ""
 	if s.gzip {
-		// Pooled: a gzip.Writer plus its output buffer are far too expensive
-		// to rebuild per shipment.
-		z := gzPool.Get().(*gzScratch)
-		defer gzPool.Put(z)
-		z.buf.Reset()
-		z.zw.Reset(&z.buf)
-		if _, err := z.zw.Write(frame); err == nil && z.zw.Close() == nil {
-			body, encoding = z.buf.Bytes(), "gzip"
-		}
+		// Pooled: an encoder's hash tables are too large to allocate per
+		// shipment, and reusing them costs nothing (see gzipEncoder).
+		z := gzipEncoders.Get().(*gzipEncoder)
+		defer gzipEncoders.Put(z)
+		body, encoding = z.encode(frame), "gzip"
 	}
 	backoff := s.backoffBase
 	maxRetries := s.maxRetries

@@ -1,13 +1,6 @@
 package aggd
 
-import (
-	"bytes"
-	"compress/gzip"
-	"io"
-	"sync"
-
-	"zerosum/internal/export"
-)
+import "zerosum/internal/export"
 
 // eventSlot is one ring entry holding a deep copy of a stream event. Event
 // payload pointers are borrowed from the publisher (the monitor reuses one
@@ -72,14 +65,3 @@ func (s *eventSlot) event() export.Event {
 	}
 	return ev
 }
-
-// gzScratch bundles a gzip writer with its output buffer so shipment
-// compression reuses both.
-type gzScratch struct {
-	buf bytes.Buffer
-	zw  *gzip.Writer
-}
-
-var gzPool = sync.Pool{New: func() any {
-	return &gzScratch{zw: gzip.NewWriter(io.Discard)}
-}}

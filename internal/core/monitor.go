@@ -64,7 +64,8 @@ type Config struct {
 	// Stream, when non-nil, receives every sample as it is taken.
 	Stream *export.Stream
 	// KeepSeries retains every periodic sample for CSV export (default
-	// true; large runs may disable it and rely on the stream).
+	// true; large runs may disable it and rely on the stream). The report
+	// (Snapshot) is the same either way.
 	KeepSeries bool
 	// RebindAfter, with a Rebinder in Deps, spreads piled-up busy threads
 	// across the cpuset after this many consecutive pileup samples
@@ -217,6 +218,8 @@ type Monitor struct {
 	gpuInfo       []gpu.DeviceInfo
 	memMinFreeKB  uint64
 	memPeakRSSKB  uint64
+	memTotalKB    uint64   // the last memory sample's
+	hwtSums       []hwtSum // by CPU number: running sums for the report's HWT rows
 
 	idleStreak   int
 	deadlockHint bool
@@ -707,6 +710,10 @@ func (m *Monitor) sampleHWTs(t float64) error {
 			SysPct:  float64(row.System-prev.System) / dTotal * 100,
 			UserPct: float64(row.User-prev.User) / dTotal * 100,
 		}
+		for len(m.hwtSums) <= row.CPU {
+			m.hwtSums = append(m.hwtSums, hwtSum{})
+		}
+		m.hwtSums[row.CPU].add(&m.hwtSample)
 		if m.cfg.KeepSeries {
 			m.hwtSeries = append(m.hwtSeries, m.hwtSample)
 		}
@@ -740,6 +747,7 @@ func (m *Monitor) sampleMemory(t float64) error {
 	if rss > m.memPeakRSSKB {
 		m.memPeakRSSKB = rss
 	}
+	m.memTotalKB = mi.MemTotalKB
 	m.memSample = export.MemSample{
 		TimeSec: t, TotalKB: mi.MemTotalKB, FreeKB: mi.MemFreeKB,
 		AvailKB: mi.MemAvailableKB, ProcRSSKB: rss, ProcHWMKB: hwm,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"zerosum/internal/export"
 	"zerosum/internal/gpu"
+	"zerosum/internal/obs"
 	"zerosum/internal/proc"
 	"zerosum/internal/sim"
 	"zerosum/internal/topology"
@@ -773,5 +775,48 @@ func TestPublishedSelfStatsConcurrentWithTicks(t *testing.T) {
 	}
 	if live, pub := m.SelfStats(), m.PublishedSelfStats(); live != pub {
 		t.Fatalf("post-Finish published stats diverged:\nlive %+v\npub  %+v", live, pub)
+	}
+}
+
+// TestSnapshotIndependentOfKeepSeries: the report's HWT table and memory
+// total are folds kept as samples arrive, so a monitor that retains no
+// series reports exactly what one that retains them does. The affinity
+// covers two of six CPUs, the jiffy splits give inexact means, and the
+// memory total moves, so every part of the fold is exercised.
+func TestSnapshotIndependentOfKeepSeries(t *testing.T) {
+	run := func(keep bool) Snapshot {
+		fs := newFakeFS()
+		fs.procStat.CpusAllowed = topology.NewCPUSet(1, 4)
+		fs.stat.PerCPU = make([]proc.CPUTimes, 6)
+		for c := range fs.stat.PerCPU {
+			fs.stat.PerCPU[c].CPU = c
+		}
+		m, clk := newTestMonitor(t, fs, Config{Period: time.Second, KeepSeries: keep})
+		for tick := 0; tick < 12; tick++ {
+			for c := range fs.stat.PerCPU {
+				row := &fs.stat.PerCPU[c]
+				row.User += uint64(7*tick + 3*c + 1)
+				row.System += uint64(tick%3 + c%2)
+				row.Idle += uint64(13 + 5*((tick+c)%4))
+			}
+			fs.mem.MemTotalKB = uint64(16<<20 + 4*tick)
+			if err := m.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			clk.advance(time.Second)
+		}
+		m.Finish()
+		snap := m.Snapshot()
+		snap.Self = obs.SelfStats{} // the monitor's own cost, not what it observed
+		return snap
+	}
+	kept, folded := run(true), run(false)
+	if len(kept.HWTs) != 2 || kept.MemTotalKB != 16<<20+44 {
+		t.Fatalf("with series kept: %d HWT rows and MemTotalKB %d, want 2 and %d",
+			len(kept.HWTs), kept.MemTotalKB, 16<<20+44)
+	}
+	if !reflect.DeepEqual(kept, folded) {
+		t.Errorf("Snapshot differs with KeepSeries off:\n kept   HWTs %+v MemTotalKB %d\n folded HWTs %+v MemTotalKB %d",
+			kept.HWTs, kept.MemTotalKB, folded.HWTs, folded.MemTotalKB)
 	}
 }

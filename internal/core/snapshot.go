@@ -1,8 +1,7 @@
 package core
 
 import (
-	"sort"
-
+	"zerosum/internal/export"
 	"zerosum/internal/gpu"
 	"zerosum/internal/obs"
 	"zerosum/internal/topology"
@@ -151,9 +150,7 @@ func (m *Monitor) Snapshot() Snapshot {
 	if m.memMinFreeKB != ^uint64(0) {
 		snap.MemMinFreeKB = m.memMinFreeKB
 	}
-	if n := len(m.memSeries); n > 0 {
-		snap.MemTotalKB = m.memSeries[n-1].TotalKB
-	}
+	snap.MemTotalKB = m.memTotalKB
 	if m.ioSeen {
 		snap.IOReadBytes = m.lastIO.ReadBytes
 		snap.IOWriteBytes = m.lastIO.WriteBytes
@@ -193,34 +190,12 @@ func (m *Monitor) Snapshot() Snapshot {
 	}
 
 	// HWT summary: mean utilization per CPU in the process affinity list.
-	type acc struct {
-		idle, sys, user float64
-		n               int
-	}
-	per := map[int]*acc{}
-	for _, s := range m.hwtSeries {
-		if !m.procAff.Empty() && !m.procAff.Contains(s.CPU) {
+	for cpu, a := range m.hwtSums {
+		if a.n == 0 || !m.procAff.Empty() && !m.procAff.Contains(cpu) {
 			continue
 		}
-		a := per[s.CPU]
-		if a == nil {
-			a = &acc{}
-			per[s.CPU] = a
-		}
-		a.idle += s.IdlePct
-		a.sys += s.SysPct
-		a.user += s.UserPct
-		a.n++
-	}
-	cpus := make([]int, 0, len(per))
-	for c := range per {
-		cpus = append(cpus, c)
-	}
-	sort.Ints(cpus)
-	for _, c := range cpus {
-		a := per[c]
 		snap.HWTs = append(snap.HWTs, HWTSummary{
-			CPU:     c,
+			CPU:     cpu,
 			IdlePct: a.idle / float64(a.n),
 			SysPct:  a.sys / float64(a.n),
 			UserPct: a.user / float64(a.n),
@@ -241,4 +216,18 @@ func (m *Monitor) Snapshot() Snapshot {
 		snap.GPUs = append(snap.GPUs, gs)
 	}
 	return snap
+}
+
+// hwtSum accumulates one CPU's samples for its HWT row, in sample order, so
+// the means match a replay of the retained series bit for bit.
+type hwtSum struct {
+	idle, sys, user float64
+	n               int
+}
+
+func (a *hwtSum) add(s *export.HWTSample) {
+	a.idle += s.IdlePct
+	a.sys += s.SysPct
+	a.user += s.UserPct
+	a.n++
 }
