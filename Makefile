@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint lint-baseline lint-self chaos fuzz golden golden-update bench-correct
+.PHONY: check fmt vet build test race lint lint-baseline lint-self chaos fuzz corpus-update golden golden-update bench-correct
 
 check: fmt vet build race lint lint-self chaos fuzz golden
 
@@ -72,6 +72,12 @@ fuzz:
 	$(GO) test ./internal/export -run '^$$' -fuzz FuzzHeatmapParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzObsSpanDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tsdb -run '^$$' -fuzz FuzzTSDBBlockDecode -fuzztime $(FUZZTIME)
+
+# corpus-update regenerates both wire fuzz targets' checked-in seed corpora
+# (internal/aggd/testdata/fuzz/) from their generators, after a deliberate
+# wire-format change; TestRollupFuzzSeedCorpus fails until it is run.
+corpus-update:
+	$(GO) test ./internal/aggd -run SeedCorpus -update
 
 # bench-correct runs every benchmark workload once, briefly, and fails unless
 # its result line (the last one printed) reports "correct":true with

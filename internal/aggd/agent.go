@@ -124,10 +124,11 @@ type Agent struct {
 	// Sender-goroutine scratch, reused across batches: takeBatch memmoves
 	// ring slots into slotScratch under the lock, then builds the Events
 	// view pointing into those slots outside it; ship appends the frame
-	// into frameBuf.
+	// into frameBuf and its gzip body into gzBuf.
 	slotScratch []eventSlot
 	shipEvents  []export.Event
 	frameBuf    []byte
+	gzBuf       []byte
 
 	sendDrops   atomic.Uint64
 	sentBatches atomic.Uint64
@@ -327,7 +328,7 @@ func (a *Agent) ship(events []export.Event) {
 	}
 	a.frameBuf = frame
 	a.seq++
-	if err := a.shipper.post(a.currentURL(), frame); err != nil {
+	if err := a.shipper.post(a.currentURL(), frame, &a.gzBuf); err != nil {
 		// The shipment is dropped, never re-sent elsewhere: the home may
 		// have applied it and lost only the ack, so resending it under a
 		// new epoch would double-merge. Conservation counts it lost, and
@@ -407,7 +408,8 @@ func (a *Agent) PushSnapshot(snap core.Snapshot, commRow map[int]uint64) error {
 		return err
 	}
 	cur := int(a.cur.Load())
-	if err = a.shipper.post(a.urls[cur], frame); err == nil {
+	var gz []byte
+	if err = a.shipper.post(a.urls[cur], frame, &gz); err == nil {
 		return nil
 	}
 	for step := 1; step < len(a.urls); step++ {

@@ -111,6 +111,7 @@ func TestServerIngestPartialBody(t *testing.T) {
 		"checksum":       flipped,
 		"version-2":      stampVersion(mid, 2),
 		"version-3":      stampVersion(mid, 3),
+		"version-4":      []byte(legacyV4Frame),
 		"version-future": stampVersion(mid, WireVersion+1),
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -30,8 +30,8 @@ type gzipEncoder struct {
 	next uint32                  // one below the next call's base
 
 	tokens [dfMaxTokens + 1]uint32 // one block's, plus its end-of-block marker
-	out    []byte
-	bits   uint64 // pending output bits, LSB first
+	out    []byte                  // the caller's buffer, during encode only
+	bits   uint64                  // pending output bits, LSB first
 	nbits  uint
 
 	litFreq [dfNumLit]uint32
@@ -129,15 +129,17 @@ func offsetCode(x uint32) (code uint32, extra uint) {
 	return 2*l + (x>>(l-1))&1, uint(l - 1)
 }
 
-// encode compresses src into one gzip member. The result is the encoder's
-// own buffer, valid until the next call.
-func (e *gzipEncoder) encode(src []byte) []byte {
-	e.out = append(e.out[:0], gzipHeader[:]...)
+// encode appends src compressed into one gzip member to dst and returns
+// the extended slice. The encoder keeps no reference to dst, so it can go
+// back to its pool as soon as encode returns.
+func (e *gzipEncoder) encode(dst, src []byte) []byte {
+	e.out = append(dst, gzipHeader[:]...)
 	e.bits, e.nbits = 0, 0
 	e.deflate(src)
 	e.out = binary.LittleEndian.AppendUint32(e.out, crc32.ChecksumIEEE(src))
-	e.out = binary.LittleEndian.AppendUint32(e.out, uint32(len(src)))
-	return e.out
+	out := binary.LittleEndian.AppendUint32(e.out, uint32(len(src)))
+	e.out = nil
+	return out
 }
 
 // deflate is flate level 6's lazy LZ77 parse over the whole of src, which

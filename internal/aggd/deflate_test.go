@@ -101,7 +101,7 @@ func TestGzipEncoderSize(t *testing.T) {
 	var e gzipEncoder
 	for name, frame := range gzipFixtureFrames(t) {
 		for pass := 0; pass < 2; pass++ { // the second pass runs over warm, stale tables
-			got := e.encode(frame)
+			got := e.encode(nil, frame)
 			if !bytes.Equal(gunzip(t, got), frame) {
 				t.Fatalf("%s pass %d: round trip differs from the input", name, pass)
 			}
@@ -115,13 +115,13 @@ func TestGzipEncoderSize(t *testing.T) {
 }
 
 // TestGzipEncoderWarmZeroAlloc holds a warm encoder to zero allocations per
-// frame: the tables are reused without a clear and the output buffer has
-// grown to the frame size.
+// frame: the tables are reused without a clear and the caller's output
+// buffer has grown to the frame size.
 func TestGzipEncoderWarmZeroAlloc(t *testing.T) {
 	var e gzipEncoder
 	for name, frame := range gzipFixtureFrames(t) {
-		e.encode(frame)
-		if avg := testing.AllocsPerRun(50, func() { e.encode(frame) }); avg != 0 {
+		out := e.encode(nil, frame)
+		if avg := testing.AllocsPerRun(50, func() { out = e.encode(out[:0], frame) }); avg != 0 {
 			t.Errorf("%s: warm encode allocates %.1f per frame, want 0", name, avg)
 		}
 	}
@@ -143,12 +143,12 @@ func TestGzipEncoderEdgeShapes(t *testing.T) {
 	}
 	var e gzipEncoder
 	for name, in := range map[string][]byte{"noise": noise, "zeros": zeros, "skewed": skewed} {
-		if got := gunzip(t, e.encode(in)); !bytes.Equal(got, in) {
+		if got := gunzip(t, e.encode(nil, in)); !bytes.Equal(got, in) {
 			t.Errorf("%s: round trip of %d bytes gave %d different bytes", name, len(in), len(got))
 		}
 	}
 	e.next = 1<<32 - 10 // the next call must clear the tables and start over
-	if got := gunzip(t, e.encode(zeros)); !bytes.Equal(got, zeros) || e.next != uint32(len(zeros)) {
+	if got := gunzip(t, e.encode(nil, zeros)); !bytes.Equal(got, zeros) || e.next != uint32(len(zeros)) {
 		t.Errorf("rebase: round trip ok=%v, next base %d", bytes.Equal(got, zeros), e.next)
 	}
 }
@@ -202,7 +202,7 @@ func FuzzGzipRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		e := new(gzipEncoder)
 		for pass := 0; pass < 2; pass++ {
-			if got := gunzip(t, e.encode(in)); !bytes.Equal(got, in) {
+			if got := gunzip(t, e.encode(nil, in)); !bytes.Equal(got, in) {
 				t.Fatalf("pass %d: %d bytes in, %d different bytes out", pass, len(in), len(got))
 			}
 		}
@@ -217,9 +217,10 @@ func BenchmarkGzipFrame(b *testing.B) {
 		frame := frames[name]
 		b.Run(name+"/encoder", func(b *testing.B) {
 			var e gzipEncoder
+			var out []byte
 			b.SetBytes(int64(len(frame)))
 			for i := 0; i < b.N; i++ {
-				e.encode(frame)
+				out = e.encode(out[:0], frame)
 			}
 		})
 		b.Run(name+"/stdlib", func(b *testing.B) {

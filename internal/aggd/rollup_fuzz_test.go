@@ -186,14 +186,14 @@ func checkFuzzSeedCorpus(t *testing.T, dir string, seeds map[string][]byte) {
 	for name, want := range seeds {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			t.Fatalf("%s: %v (run with -update to regenerate the corpus)", name, err)
+			t.Fatalf("%s: %v (run `make corpus-update` to regenerate the corpus)", name, err)
 		}
 		got, err := parseRollupCorpusFile(raw)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", dir, name, err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("%s/%s: checked-in corpus drifted from the generator (run with -update)", dir, name)
+			t.Errorf("%s/%s: checked-in corpus drifted from the generator (run `make corpus-update`)", dir, name)
 		}
 	}
 }

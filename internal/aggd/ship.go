@@ -87,15 +87,19 @@ func (s *shipper) stop(kill bool) {
 }
 
 // post sends one frame to url's ingest endpoint, retrying a failed attempt
-// up to maxRetries times.
-func (s *shipper) post(url string, frame []byte) error {
+// up to maxRetries times. With gzip on, the compressed body is built in
+// *gz, which keeps the grown buffer for the caller's next post.
+func (s *shipper) post(url string, frame []byte, gz *[]byte) error {
 	body, encoding := frame, ""
 	if s.gzip {
 		// Pooled: an encoder's hash tables are too large to allocate per
-		// shipment, and reusing them costs nothing (see gzipEncoder).
+		// shipment, and reusing them costs nothing (see gzipEncoder). It
+		// goes back before the first attempt, so a shipment waiting on a
+		// slow or absent aggregator holds no encoder.
 		z := gzipEncoders.Get().(*gzipEncoder)
-		defer gzipEncoders.Put(z)
-		body, encoding = z.encode(frame), "gzip"
+		*gz = z.encode((*gz)[:0], frame)
+		gzipEncoders.Put(z)
+		body, encoding = *gz, "gzip"
 	}
 	backoff := s.backoffBase
 	maxRetries := s.maxRetries

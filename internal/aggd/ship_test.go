@@ -4,6 +4,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,5 +169,67 @@ func TestShipperJitterReplays(t *testing.T) {
 	}
 	if other := seq(7, "job", "node-2"); other == base {
 		t.Fatalf("a different node replayed the same jitter: %v", other)
+	}
+}
+
+// TestShipperReleasesEncoderBeforePosting: a post puts its gzip encoder back
+// in the pool before the first attempt, so shipments held open by a slow or
+// absent aggregator pin none. Posts started one after another and then held
+// open together need at most one encoder per P: a P's private pool slot is
+// the only place another P's Get cannot find a returned encoder.
+func TestShipperReleasesEncoderBeforePosting(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode makes sync.Pool drop entries by design; the pool then reallocates")
+	}
+	runtime.GC() // twice: empty the pool and its victim cache
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no GC may empty it mid-test
+	var made atomic.Int64
+	newEncoder := gzipEncoders.New
+	gzipEncoders.New = func() any { made.Add(1); return new(gzipEncoder) }
+	defer func() { gzipEncoders.New = newEncoder }()
+
+	arrived, release := make(chan struct{}), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		arrived <- struct{}{}
+		<-release
+	}))
+	defer srv.Close()
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	defer releaseAll() // before srv.Close, which waits for the held handlers
+	frame, err := EncodeBatchFrame(mkBatch(1, 0, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newShipper(nil, -1, 0, 0, false, 0, "held-open")
+	procs := runtime.GOMAXPROCS(0)
+	posts := 2*procs + 2
+	errs := make(chan error, posts)
+	var wg sync.WaitGroup
+	for i := 0; i < posts; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var gz []byte
+			errs <- s.post(srv.URL, frame, &gz)
+		}()
+		select {
+		case <-arrived: // this post is in its attempt, held open
+		case err := <-errs:
+			t.Fatalf("post %d ended before the aggregator held it: %v", i, err)
+		}
+	}
+	n := made.Load()
+	releaseAll()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n > int64(procs) {
+		t.Fatalf("%d posts held open made %d gzip encoders, want <= GOMAXPROCS (%d)", posts, n, procs)
 	}
 }

@@ -51,6 +51,15 @@ const legacyV2Frame = "ZSAG\x02\x01q\x00\x00\x00\xc5\xe9\x8c\xa9\x02\x00jr\x03\x
 	"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
 	"\x00\x00\x00\x00"
 
+// legacyV4Frame is a genuine wire-version-4 batch frame (job "jr", node
+// "n02", rank 2, an LWP event of kind "Main" and a "Device Busy %" GPU
+// event), kept as bytes from before the static string table: its
+// dictionary carries the labels the table now holds, so a reader must
+// resync past it, never parse it.
+const legacyV4Frame = "ZSAG\x04\x01I\x00\x00\x00\xa2\r\x15\xb8\x04\x02jr\x03n02\x04Main\rDevice Busy %" +
+	"\x00\x01\x04\x01\x03\x02\x01\x80\x80\x80\x80\x80\x80\x80\xf0\x7f\x12\x02R\xc0\xa2\x81\x04\x00\x00" +
+	"\x00\x00\x00\x00\x02\x03\xff\xff\xff\xff\xff\xff\xff\xef\x7f\x00\x03\xc0\x8a\x81\x02"
+
 // stampVersion returns a copy of frame with its header version byte set to
 // ver. The CRC covers only the payload, so the result is still a
 // well-formed frame — of a version no reader accepts.
