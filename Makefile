@@ -1,5 +1,6 @@
-# Standard local gate: `make check` is what CI runs and what every change
-# should pass before review. Individual steps are available as targets.
+# Standard local gate: `make check` is what every change should pass before
+# review. CI runs the same gates, each in exactly one job
+# (.github/workflows/ci.yml). Individual steps are available as targets.
 #
 #   make lint   runs zslint, the repo-specific static checks (docs/lint.md);
 #               machine-readable output: $(GO) run ./cmd/zslint -json ./...

@@ -1,21 +1,24 @@
 // Command zsreport post-processes ZeroSum's per-process logs (the CSV
-// dumps from zsrun/zerosum, or the staged .zsbp stream) into utilization
-// time-series charts and summaries — Figures 6 and 7 of the paper, from
-// recorded data instead of a live run.
+// dumps from zsrun/zerosum, or the .zsbp log of wire frames that zsrun
+// -staged writes) into utilization time-series charts and summaries —
+// Figures 6 and 7 of the paper, from recorded data instead of a live run.
 //
 // Usage:
 //
 //	zsreport -lwp logs/zerosum.rank000.lwp.csv [-hwt ...hwt.csv] [-tsv]
-//	zsreport -staged logs/zerosum.rank000.zsbp
+//	zsreport -staged logs/zerosum.rank000.zsbp [-tsv]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
+	"zerosum/internal/aggd"
 	"zerosum/internal/analysis"
 	"zerosum/internal/export"
 )
@@ -25,7 +28,7 @@ func main() {
 		lwpPath    = flag.String("lwp", "", "LWP sample CSV")
 		hwtPath    = flag.String("hwt", "", "HWT sample CSV")
 		memPath    = flag.String("mem", "", "memory sample CSV")
-		stagedPath = flag.String("staged", "", "staged .zsbp stream")
+		stagedPath = flag.String("staged", "", ".zsbp log of wire batch frames (zsrun -logdir DIR -staged)")
 		tsv        = flag.Bool("tsv", false, "emit TSV instead of sparklines")
 	)
 	flag.Parse()
@@ -162,39 +165,90 @@ func reportMem(path string) error {
 	return nil
 }
 
+// reportStaged charts a .zsbp log: wire batch frames back to back, one per
+// sampling instant, as zsrun -staged writes them (aggd.FrameLog). Each
+// variable is one series; a distinct timestamp is one step. A log whose
+// writer died mid-frame, or that holds corrupt bytes, still reports every
+// frame that checks out, and says on stderr what it had to skip.
 func reportStaged(path string, tsv bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r, err := export.NewStagedReader(f)
-	if err != nil {
-		return err
+	series := map[string]*analysis.Series{}
+	steps := map[float64]bool{}
+	put := func(name string, t, v float64) {
+		sr := series[name]
+		if sr == nil {
+			sr = &analysis.Series{Name: name}
+			series[name] = sr
+		}
+		// A variable keeps its first value at an instant.
+		if n := len(sr.Times); n == 0 || sr.Times[n-1] != t {
+			sr.Append(t, v)
+		}
 	}
-	steps, err := r.ReadAllSteps()
-	if err != nil {
-		return err
+	sc := aggd.NewFrameScanner(f)
+	var bb aggd.BatchBuf
+	for {
+		kind, payload, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
+		var corrupt *aggd.CorruptFrameError
+		if errors.As(err, &corrupt) {
+			fmt.Fprintf(os.Stderr, "zsreport: %s: %v\n", path, err)
+			continue
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "zsreport: %s: log ends in a torn frame (%v); reporting the frames before it\n", path, err)
+			break
+		}
+		if kind != aggd.FrameBatch {
+			fmt.Fprintf(os.Stderr, "zsreport: %s: skipping a frame of kind %d, not a sample batch\n", path, kind)
+			continue
+		}
+		b, err := aggd.DecodeBatchPayloadInto(payload, &bb)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "zsreport: %s: skipping a batch frame: %v\n", path, err)
+			continue
+		}
+		for _, ev := range b.Events {
+			t := ev.TimeSec
+			steps[t] = true
+			switch ev.Kind {
+			case export.EventLWP:
+				l := ev.LWP
+				put(fmt.Sprintf("lwp.%d.user_pct", l.TID), t, l.UserPct)
+				put(fmt.Sprintf("lwp.%d.sys_pct", l.TID), t, l.SysPct)
+				put(fmt.Sprintf("lwp.%d.nvctx", l.TID), t, float64(l.NVCtx))
+				put(fmt.Sprintf("lwp.%d.vctx", l.TID), t, float64(l.VCtx))
+				put(fmt.Sprintf("lwp.%d.cpu", l.TID), t, float64(l.CPU))
+			case export.EventHWT:
+				h := ev.HWT
+				put(fmt.Sprintf("hwt.%d.user_pct", h.CPU), t, h.UserPct)
+				put(fmt.Sprintf("hwt.%d.sys_pct", h.CPU), t, h.SysPct)
+				put(fmt.Sprintf("hwt.%d.idle_pct", h.CPU), t, h.IdlePct)
+			case export.EventGPU:
+				put(fmt.Sprintf("gpu.%d.%s", ev.GPU.GPU, ev.GPU.Metric), t, ev.GPU.Value)
+			case export.EventMem:
+				put("mem.free_kb", t, float64(ev.Mem.FreeKB))
+				put("mem.rss_kb", t, float64(ev.Mem.ProcRSSKB))
+			}
+		}
 	}
 	if len(steps) == 0 {
 		return fmt.Errorf("no steps in %s", path)
 	}
-	// Build one series per variable.
+	names := make([]string, 0, len(series))
+	for name := range series {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	chart := analysis.NewStackedChart("staged stream — " + path)
-	series := map[string]*analysis.Series{}
-	for _, st := range steps {
-		for name, vals := range st.Vars {
-			if len(vals) == 0 {
-				continue
-			}
-			sr := series[name]
-			if sr == nil {
-				sr = &analysis.Series{Name: name}
-				series[name] = sr
-				chart.Add(sr)
-			}
-			sr.Append(st.Time, vals[0])
-		}
+	for _, name := range names {
+		chart.Add(series[name])
 	}
 	fmt.Printf("%d steps, %d variables\n", len(steps), len(series))
 	if tsv {

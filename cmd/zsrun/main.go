@@ -8,7 +8,7 @@
 //	zsrun -n 8 -c 7 [-machine frontier] [-app miniqmc|pic|synthetic]
 //	      [-threads-per-core 1] [-gpus-per-task 0] [-gpu-bind closest]
 //	      [-omp-num-threads N] [-omp-proc-bind spread] [-omp-places cores]
-//	      [-steps 96] [-no-monitor] [-logdir DIR] [-seed 1]
+//	      [-steps 96] [-no-monitor] [-logdir DIR [-staged]] [-seed 1]
 package main
 
 import (
@@ -50,9 +50,9 @@ func main() {
 		noMon    = flag.Bool("no-monitor", false, "run without the ZeroSum thread")
 		period   = flag.Duration("period", 0, "sampling period (default 1s)")
 		logdir   = flag.String("logdir", "", "write per-rank logs and CSVs here")
-		staged   = flag.Bool("staged", false, "with -logdir: also write per-rank staged .zsbp streams")
+		staged   = flag.Bool("staged", false, "with -logdir: also write per-rank .zsbp logs (wire batch frames, one per sampling instant; read with zsreport -staged)")
 		agg      = flag.String("agg", "", "stream samples to zsaggd aggregator(s): one base URL, or a comma-separated leaf-tier list routed by consistent hash with failover")
-		jobName  = flag.String("job", "zsrun", "job id used when streaming to -agg")
+		jobName  = flag.String("job", "zsrun", "job id used when streaming to -agg and in .zsbp frame origins")
 		trace    = flag.String("trace", "", "write the node-0 scheduling trace (Chrome trace JSON) here")
 		advise   = flag.Bool("advise", false, "run the configuration advisor on the rank-0 report")
 		summary  = flag.Bool("summary", true, "print the job-wide aggregated summary")
@@ -172,12 +172,13 @@ func main() {
 			}
 		}()
 	}
-	// Per-rank streams feed optional sinks: staged .zsbp files (the
-	// ADIOS2-style output path) and/or an aggd node agent shipping batches
-	// to a zsaggd aggregator (the LDMS-style networked path).
+	// Per-rank streams feed optional sinks: .zsbp files of wire frames (the
+	// ADIOS2-style output path, one frame per sampling instant) and/or an
+	// aggd node agent shipping batches to a zsaggd aggregator (the
+	// LDMS-style networked path). Both write the same frame format.
 	type stagedRank struct {
 		file *os.File
-		sink *export.StagedSink
+		log  *aggd.FrameLog
 	}
 	stagedSinks := map[int]*stagedRank{}
 	wantStaged := *staged && *logdir != "" && !*noMon
@@ -213,13 +214,9 @@ func main() {
 				if err != nil {
 					fatal(err)
 				}
-				w, err := export.NewStagedWriter(f)
-				if err != nil {
-					fatal(err)
-				}
-				sink := export.NewStagedSink(w)
-				stagedSinks[rank] = &stagedRank{file: f, sink: sink}
-				stream.Subscribe(sink.Subscriber())
+				fl := aggd.NewFrameLog(f, aggd.Origin{Job: *jobName, Node: node, Rank: rank})
+				stagedSinks[rank] = &stagedRank{file: f, log: fl}
+				stream.Subscribe(fl.Subscriber())
 			}
 			return stream
 		}
@@ -315,7 +312,7 @@ func main() {
 		fmt.Printf("#   curl %s/metrics\n", aggURLs[0])
 	}
 	for rank, sr := range stagedSinks {
-		if err := sr.sink.Close(); err != nil {
+		if err := sr.log.Close(); err != nil {
 			fatal(fmt.Errorf("staged rank %d: %w", rank, err))
 		}
 		if err := sr.file.Close(); err != nil {

@@ -39,7 +39,8 @@ import (
 // SnapshotMsg (snapshots are sent once per rank, so compactness does not
 // matter there); a FrameRollup payload is the leaf-to-parent shipment of
 // rollup.go.
-// Multiple frames may be concatenated in one HTTP request body.
+// Multiple frames may be concatenated in one HTTP request body or a .zsbp
+// file (FrameLog).
 //
 // The checksum exists because the aggregation path must stay trustworthy
 // under the link-flap and partial-write regimes an always-on monitor lives

@@ -270,6 +270,39 @@ func TestStackedChartTSV(t *testing.T) {
 	}
 }
 
+// TestStackedChartTSVAlignsByTime pins one row per distinct time across
+// all series: a series that starts late keeps its values at their own
+// times, and a series longer than the first still gets its last rows.
+func TestStackedChartTSVAlignsByTime(t *testing.T) {
+	c := NewStackedChart("ragged")
+	short := &Series{Name: "short"}
+	long := &Series{Name: "long"}
+	late := &Series{Name: "late"}
+	for i := 0; i < 3; i++ {
+		short.Append(float64(i), 1)
+	}
+	for i := 0; i < 4; i++ {
+		long.Append(float64(i), 2)
+	}
+	late.Append(2, 7)
+	late.Append(3, 8)
+	c.Add(short)
+	c.Add(long)
+	c.Add(late)
+	var sb strings.Builder
+	if err := c.WriteTSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "time\tshort\tlong\tlate\n" +
+		"0.000\t1.0000\t2.0000\t\n" +
+		"1.000\t1.0000\t2.0000\t\n" +
+		"2.000\t1.0000\t2.0000\t7.0000\n" +
+		"3.000\t\t2.0000\t8.0000\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("TSV:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestSparkline(t *testing.T) {
 	s := Sparkline([]float64{0, 50, 100}, 100)
 	runes := []rune(s)

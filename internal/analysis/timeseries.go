@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -70,26 +71,37 @@ func (c *StackedChart) Add(s *Series) { c.Series = append(c.Series, s) }
 
 // WriteTSV emits the chart as tab-separated columns (time, then one column
 // per series), the load-into-anything format for regenerating Figures 6-7.
+// There is one row per time in the sorted union of the series' times; a
+// series with no sample at a row's time leaves its cell empty, so a thread
+// that starts late or ends early never shifts into another row.
 func (c *StackedChart) WriteTSV(w io.Writer) error {
 	if len(c.Series) == 0 {
 		return fmt.Errorf("analysis: chart %q has no series", c.Title)
 	}
 	var b strings.Builder
 	b.WriteString("time")
-	for _, s := range c.Series {
+	var times []float64
+	at := make([]map[float64]float64, len(c.Series))
+	for j, s := range c.Series {
 		b.WriteByte('\t')
 		b.WriteString(s.Name)
+		times = append(times, s.Times...)
+		at[j] = make(map[float64]float64, len(s.Times))
+		for i, t := range s.Times {
+			if _, dup := at[j][t]; !dup && i < len(s.Values) {
+				at[j][t] = s.Values[i]
+			}
+		}
 	}
 	b.WriteByte('\n')
-	base := c.Series[0]
-	for i := range base.Times {
-		fmt.Fprintf(&b, "%.3f", base.Times[i])
-		for _, s := range c.Series {
-			v := 0.0
-			if i < len(s.Values) {
-				v = s.Values[i]
+	sort.Float64s(times)
+	for _, t := range slices.Compact(times) {
+		fmt.Fprintf(&b, "%.3f", t)
+		for j := range c.Series {
+			b.WriteByte('\t')
+			if v, ok := at[j][t]; ok {
+				fmt.Fprintf(&b, "%.4f", v)
 			}
-			fmt.Fprintf(&b, "\t%.4f", v)
 		}
 		b.WriteByte('\n')
 	}

@@ -35,7 +35,7 @@ func TestBaselineLineInsensitive(t *testing.T) {
 
 func TestBaselineDiffNewFinding(t *testing.T) {
 	b := NewBaseline([]Diagnostic{diag("clock", "x/x.go", 10, "raw time.Now")})
-	novel := diag("goleak", "y/y.go", 3, "goroutine leak")
+	novel := diag("goroutinestop", "y/y.go", 3, "goroutine leak")
 	got := b.Diff([]Diagnostic{diag("clock", "x/x.go", 10, "raw time.Now"), novel})
 	if len(got) != 1 || got[0] != novel {
 		t.Fatalf("want only the novel finding, got %v", got)

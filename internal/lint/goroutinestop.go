@@ -2,15 +2,18 @@ package lint
 
 import (
 	"go/ast"
+	"strings"
 
 	"zerosum/internal/lint/flow"
 )
 
-// goroutinestopCheck upgrades goleak with flow evidence: it is not enough
-// for a goroutine body to *mention* a ctx/done channel — its CFG must have
-// a path from entry to exit, i.e. the goroutine must be able to terminate.
-// A `for {}` with no break, or a receive loop that never checks the
-// channel-closed ok, mentions whatever it likes and still runs forever.
+// goroutinestopCheck judges every go statement by flow evidence: its
+// body's CFG must have a path from entry to exit, i.e. the goroutine must
+// be able to terminate. Whether the body *mentions* a ctx/done channel does
+// not matter: a `for {}` with no break, or a receive loop that never checks
+// the channel-closed ok, mentions whatever it likes and still runs forever,
+// while a body that can return does not leak whatever its identifiers are
+// called.
 //
 // The rule is exit-reachability, deliberately weak in the safe direction:
 // a bounded loop passes (its condition can go false), a select with a
@@ -39,8 +42,9 @@ func (c goroutinestopCheck) Run(p *Program) []Diagnostic {
 				body, where := spawnedBody(p, pkg, g)
 				if body == nil {
 					// Unresolvable callee (method value, stdlib, function
-					// variable): no CFG to inspect, fall back to the goleak
-					// convention — a lifecycle value among the arguments.
+					// variable): no CFG to inspect, so fall back to the
+					// convention that a lifecycle value among the arguments
+					// governs it.
 					for _, arg := range g.Call.Args {
 						if bodyMentionsLifecycle(pkg, arg) {
 							return true
@@ -77,4 +81,37 @@ func spawnedBody(p *Program, pkg *Pkg, g *ast.GoStmt) (body *ast.BlockStmt, wher
 		}
 	}
 	return nil, ""
+}
+
+// lifecycleHints are the identifier substrings that mark a stop mechanism.
+var lifecycleHints = []string{"ctx", "done", "stop", "quit", "cancel", "exit"}
+
+// bodyMentionsLifecycle reports whether body references a lifecycle value:
+// an identifier named like a stop mechanism, or any context.Context.
+func bodyMentionsLifecycle(pkg *Pkg, body ast.Node) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		lower := strings.ToLower(id.Name)
+		for _, hint := range lifecycleHints {
+			if strings.Contains(lower, hint) {
+				found = true
+				return false
+			}
+		}
+		// A value of type context.Context is a lifecycle regardless of name.
+		if obj := pkg.Info.Uses[id]; obj != nil && obj.Type() != nil &&
+			obj.Type().String() == "context.Context" {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
 }

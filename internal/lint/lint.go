@@ -73,7 +73,6 @@ func Checks(opt Options) []Check {
 	return []Check{
 		hotpathCheck{},
 		errcheckCheck{scope: opt.ErrcheckScope},
-		goleakCheck{},
 		wiresyncCheck{},
 		clockCheck{scope: opt.ClockScope},
 		guardedbyCheck{},

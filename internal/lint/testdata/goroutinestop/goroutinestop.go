@@ -4,6 +4,8 @@
 // all terminate; for {} and unconditional receive loops never do.
 package goroutinestop
 
+import "context"
+
 // Spin spawns a goroutine with no path to return.
 func Spin() {
 	go func() { // true positive: for {} has no exit
@@ -83,6 +85,32 @@ func SpawnFn(fn func(chan struct{}), done chan struct{}) {
 // SpawnFnBad cannot see fn's body and passes nothing governable.
 func SpawnFnBad(fn func()) {
 	go fn() // true positive: opaque callee, no lifecycle argument
+}
+
+// Count spins a counter loop with no condition: nothing ends it.
+func Count() {
+	go func() { // true positive: for i := 0; ; i++ has no exit
+		for i := 0; ; i++ {
+			_ = i
+		}
+	}()
+}
+
+// SpawnCtx cannot see run's body; a context.Context argument is a
+// lifecycle value by its type, whatever it is called.
+func SpawnCtx(c context.Context, run func(context.Context)) {
+	go run(c)
+}
+
+type looper struct {
+	stop chan struct{}
+}
+
+func (l *looper) loop() { <-l.stop }
+
+// Start resolves a method value's body through the module.
+func (l *looper) Start() {
+	go l.loop()
 }
 
 // Detached opts out with a reason.

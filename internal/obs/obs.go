@@ -43,8 +43,8 @@ const (
 	// StageSample is the node-scoped phase: /proc/stat, meminfo, process
 	// status/io and GPU sampling.
 	StageSample
-	// StageExport is one shipment on the data-out path (a staged write or
-	// an aggd agent batch flush).
+	// StageExport is one shipment on the data-out path (an aggd agent batch
+	// flush or a leaf's rollup).
 	StageExport
 	// StageIngest is one aggregator ingest request, body to merge.
 	StageIngest

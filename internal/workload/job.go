@@ -51,7 +51,7 @@ type MonitorConfig struct {
 	// Stream receives every sample (data-service hook).
 	Stream *export.Stream
 	// StreamFor, when non-nil, supplies a per-rank stream and overrides
-	// Stream (per-rank staged logs and aggd node agents need distinct,
+	// Stream (per-rank .zsbp frame logs and aggd node agents need distinct,
 	// origin-labelled sinks). node is the simulated hostname the rank was
 	// placed on.
 	StreamFor func(rank int, node string) *export.Stream
