@@ -96,10 +96,14 @@ bench-correct:
 	done
 
 # golden gates the end-of-run report layout (paper Listing 2, including the
-# §3.3 stalled column) against internal/report/testdata/. After reviewing an
-# intentional layout change, refresh with `make golden-update` and commit.
+# §3.3 stalled column) against internal/report/testdata/, and the bytes of
+# zsrun -logdir's per-rank report and §3.6 CSVs (rendered from each rank's
+# .zsbp frame log) against sha256 sums pinned in cmd/zsrun/main_test.go.
+# After reviewing an intentional layout change, refresh the report goldens
+# with `make golden-update`, paste the new CSV sums by hand, and commit.
 golden:
 	$(GO) test ./internal/report -run TestGolden
+	$(GO) test ./cmd/zsrun -run '^TestLogdirGolden$$'
 
 golden-update:
 	$(GO) test ./internal/report -run TestGolden -update

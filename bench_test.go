@@ -169,7 +169,7 @@ func BenchmarkFigure8Overhead(b *testing.B) {
 // against the live /proc of this host — the per-tick cost underlying the
 // paper's <0.5% overhead claim.
 func BenchmarkMonitorTick(b *testing.B) {
-	mon, err := MonitorSelf(MonitorConfig{KeepSeries: false})
+	mon, err := MonitorSelf(MonitorConfig{})
 	if err != nil {
 		b.Skip("no live /proc:", err)
 	}
@@ -190,8 +190,7 @@ func BenchmarkMonitorTick(b *testing.B) {
 // much of the thread set went quiescent.
 func BenchmarkAdaptiveTick(b *testing.B) {
 	mon, err := MonitorSelf(MonitorConfig{
-		KeepSeries: false,
-		Adaptive:   AdaptiveConfig{Enabled: true},
+		Adaptive: AdaptiveConfig{Enabled: true},
 	})
 	if err != nil {
 		b.Skip("no live /proc:", err)

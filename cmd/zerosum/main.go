@@ -3,8 +3,8 @@
 // command (or attaches to an existing PID), samples its threads, the
 // host's hardware threads and memory through the real /proc once per
 // period, and prints the utilization + contention report when the child
-// exits. All periodic samples can be dumped as CSV for time-series
-// analysis.
+// exits. With -csv, every periodic sample is written as CSV when it is
+// taken, for time-series analysis; the monitor itself keeps none.
 //
 // Usage:
 //
@@ -24,6 +24,7 @@ import (
 
 	"zerosum/internal/core"
 	"zerosum/internal/crash"
+	"zerosum/internal/export"
 	"zerosum/internal/obs"
 	"zerosum/internal/proc"
 	"zerosum/internal/report"
@@ -34,7 +35,7 @@ func main() {
 		period     = flag.Duration("period", time.Second, "sampling period")
 		pid        = flag.Int("pid", 0, "attach to an existing process instead of launching one")
 		duration   = flag.Duration("duration", 0, "with -pid: how long to monitor (0 = until the process exits)")
-		csvPrefix  = flag.String("csv", "", "dump sample CSVs to PREFIX.{lwp,hwt,mem}.csv")
+		csvPrefix  = flag.String("csv", "", "write every sample, as it is taken, to PREFIX.{lwp,hwt,mem}.csv")
 		heartbeat  = flag.Int("heartbeat", 0, "print a heartbeat every N samples")
 		backtrace  = flag.Bool("backtrace", true, "install the abnormal-exit backtrace handler")
 		stallTicks = flag.Int("stall-ticks", 0, "flag a thread stalled after N samples with no progress (0 = off)")
@@ -42,6 +43,24 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/obs and /debug/pprof on this address while monitoring")
 	)
 	flag.Parse()
+
+	// The CSV logs are written as samples are taken, so they exist before
+	// anything runs.
+	var stream *export.Stream
+	var csvFiles []*os.File
+	var csvSink *export.CSVSink
+	if *csvPrefix != "" {
+		for _, suffix := range []string{".lwp.csv", ".hwt.csv", ".mem.csv"} {
+			f, err := os.Create(*csvPrefix + suffix)
+			if err != nil {
+				fatal(err)
+			}
+			csvFiles = append(csvFiles, f)
+		}
+		csvSink = export.NewCSVSink(csvFiles[0], csvFiles[1], nil, csvFiles[2])
+		stream = &export.Stream{}
+		stream.Subscribe(csvSink.Subscriber())
+	}
 
 	fs := proc.NewRealFS()
 	var child *exec.Cmd
@@ -67,7 +86,7 @@ func main() {
 		Period:         *period,
 		HeartbeatEvery: *heartbeat,
 		Heartbeat:      os.Stderr,
-		KeepSeries:     true,
+		Stream:         stream,
 		StallTicks:     *stallTicks,
 		Obs:            rec,
 		Budget:         obs.Budget{Enabled: *budget > 0, MaxPct: *budget},
@@ -148,9 +167,14 @@ loop:
 	if err := report.Write(os.Stderr, mon.Snapshot(), report.Options{Contention: true, Memory: true, Self: true}); err != nil {
 		fatal(err)
 	}
-	if *csvPrefix != "" {
-		if err := dumpCSVs(mon, *csvPrefix); err != nil {
+	if csvSink != nil {
+		if err := csvSink.Close(); err != nil {
 			fatal(err)
+		}
+		for _, f := range csvFiles {
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
 		}
 	}
 	os.Exit(exitCode)
@@ -163,30 +187,6 @@ type pidFS struct {
 }
 
 func (p *pidFS) SelfPID() int { return p.pid }
-
-func dumpCSVs(mon *core.Monitor, prefix string) error {
-	for _, d := range []struct {
-		suffix string
-		fn     func(f *os.File) error
-	}{
-		{".lwp.csv", func(f *os.File) error { return mon.WriteLWPCSV(f) }},
-		{".hwt.csv", func(f *os.File) error { return mon.WriteHWTCSV(f) }},
-		{".mem.csv", func(f *os.File) error { return mon.WriteMemCSV(f) }},
-	} {
-		f, err := os.Create(prefix + d.suffix)
-		if err != nil {
-			return err
-		}
-		if err := d.fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "zerosum:", err)

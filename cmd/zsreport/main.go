@@ -1,6 +1,6 @@
-// Command zsreport post-processes ZeroSum's per-process logs (the CSV
-// dumps from zsrun/zerosum, or the .zsbp log of wire frames that zsrun
-// -staged writes) into utilization time-series charts and summaries —
+// Command zsreport post-processes ZeroSum's per-process logs (the CSV logs
+// from zsrun/zerosum, or the .zsbp log of wire frames that zsrun -logdir
+// writes beside them) into utilization time-series charts and summaries —
 // Figures 6 and 7 of the paper, from recorded data instead of a live run.
 //
 // Usage:
@@ -10,10 +10,8 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -28,7 +26,7 @@ func main() {
 		lwpPath    = flag.String("lwp", "", "LWP sample CSV")
 		hwtPath    = flag.String("hwt", "", "HWT sample CSV")
 		memPath    = flag.String("mem", "", "memory sample CSV")
-		stagedPath = flag.String("staged", "", ".zsbp log of wire batch frames (zsrun -logdir DIR -staged)")
+		stagedPath = flag.String("staged", "", ".zsbp log of wire batch frames (zsrun -logdir DIR writes one per rank)")
 		tsv        = flag.Bool("tsv", false, "emit TSV instead of sparklines")
 	)
 	flag.Parse()
@@ -166,7 +164,7 @@ func reportMem(path string) error {
 }
 
 // reportStaged charts a .zsbp log: wire batch frames back to back, one per
-// sampling instant, as zsrun -staged writes them (aggd.FrameLog). Each
+// sampling instant, as zsrun -logdir writes them (aggd.FrameLog). Each
 // variable is one series; a distinct timestamp is one step. A log whose
 // writer died mid-frame, or that holds corrupt bytes, still reports every
 // frame that checks out, and says on stderr what it had to skip.
@@ -189,54 +187,33 @@ func reportStaged(path string, tsv bool) error {
 			sr.Append(t, v)
 		}
 	}
-	sc := aggd.NewFrameScanner(f)
-	var bb aggd.BatchBuf
-	for {
-		kind, payload, err := sc.Next()
-		if err == io.EOF {
-			break
+	err = aggd.ReplayFrameLog(f, func(ev export.Event) {
+		t := ev.TimeSec
+		steps[t] = true
+		switch ev.Kind {
+		case export.EventLWP:
+			l := ev.LWP
+			put(fmt.Sprintf("lwp.%d.user_pct", l.TID), t, l.UserPct)
+			put(fmt.Sprintf("lwp.%d.sys_pct", l.TID), t, l.SysPct)
+			put(fmt.Sprintf("lwp.%d.nvctx", l.TID), t, float64(l.NVCtx))
+			put(fmt.Sprintf("lwp.%d.vctx", l.TID), t, float64(l.VCtx))
+			put(fmt.Sprintf("lwp.%d.cpu", l.TID), t, float64(l.CPU))
+		case export.EventHWT:
+			h := ev.HWT
+			put(fmt.Sprintf("hwt.%d.user_pct", h.CPU), t, h.UserPct)
+			put(fmt.Sprintf("hwt.%d.sys_pct", h.CPU), t, h.SysPct)
+			put(fmt.Sprintf("hwt.%d.idle_pct", h.CPU), t, h.IdlePct)
+		case export.EventGPU:
+			put(fmt.Sprintf("gpu.%d.%s", ev.GPU.GPU, ev.GPU.Metric), t, ev.GPU.Value)
+		case export.EventMem:
+			put("mem.free_kb", t, float64(ev.Mem.FreeKB))
+			put("mem.rss_kb", t, float64(ev.Mem.ProcRSSKB))
 		}
-		var corrupt *aggd.CorruptFrameError
-		if errors.As(err, &corrupt) {
-			fmt.Fprintf(os.Stderr, "zsreport: %s: %v\n", path, err)
-			continue
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zsreport: %s: log ends in a torn frame (%v); reporting the frames before it\n", path, err)
-			break
-		}
-		if kind != aggd.FrameBatch {
-			fmt.Fprintf(os.Stderr, "zsreport: %s: skipping a frame of kind %d, not a sample batch\n", path, kind)
-			continue
-		}
-		b, err := aggd.DecodeBatchPayloadInto(payload, &bb)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zsreport: %s: skipping a batch frame: %v\n", path, err)
-			continue
-		}
-		for _, ev := range b.Events {
-			t := ev.TimeSec
-			steps[t] = true
-			switch ev.Kind {
-			case export.EventLWP:
-				l := ev.LWP
-				put(fmt.Sprintf("lwp.%d.user_pct", l.TID), t, l.UserPct)
-				put(fmt.Sprintf("lwp.%d.sys_pct", l.TID), t, l.SysPct)
-				put(fmt.Sprintf("lwp.%d.nvctx", l.TID), t, float64(l.NVCtx))
-				put(fmt.Sprintf("lwp.%d.vctx", l.TID), t, float64(l.VCtx))
-				put(fmt.Sprintf("lwp.%d.cpu", l.TID), t, float64(l.CPU))
-			case export.EventHWT:
-				h := ev.HWT
-				put(fmt.Sprintf("hwt.%d.user_pct", h.CPU), t, h.UserPct)
-				put(fmt.Sprintf("hwt.%d.sys_pct", h.CPU), t, h.SysPct)
-				put(fmt.Sprintf("hwt.%d.idle_pct", h.CPU), t, h.IdlePct)
-			case export.EventGPU:
-				put(fmt.Sprintf("gpu.%d.%s", ev.GPU.GPU, ev.GPU.Metric), t, ev.GPU.Value)
-			case export.EventMem:
-				put("mem.free_kb", t, float64(ev.Mem.FreeKB))
-				put("mem.rss_kb", t, float64(ev.Mem.ProcRSSKB))
-			}
-		}
+	}, func(err error) {
+		fmt.Fprintf(os.Stderr, "zsreport: %s: %v\n", path, err)
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "zsreport: %s: log ends in a torn frame (%v); reporting the frames before it\n", path, err)
 	}
 	if len(steps) == 0 {
 		return fmt.Errorf("no steps in %s", path)

@@ -8,7 +8,11 @@
 //	zsrun -n 8 -c 7 [-machine frontier] [-app miniqmc|pic|synthetic]
 //	      [-threads-per-core 1] [-gpus-per-task 0] [-gpu-bind closest]
 //	      [-omp-num-threads N] [-omp-proc-bind spread] [-omp-places cores]
-//	      [-steps 96] [-no-monitor] [-logdir DIR [-staged]] [-seed 1]
+//	      [-steps 96] [-no-monitor] [-logdir DIR] [-seed 1]
+//
+// With -logdir, each monitored rank logs its samples to zerosum.rankNNN.zsbp
+// as wire frames while the job runs; its .lwp/.hwt/.gpu/.mem CSVs are
+// rendered from that file when the job ends, beside its report (.log).
 package main
 
 import (
@@ -49,8 +53,7 @@ func main() {
 		ompPlace = flag.String("omp-places", "", "OMP_PLACES: threads, cores, sockets")
 		noMon    = flag.Bool("no-monitor", false, "run without the ZeroSum thread")
 		period   = flag.Duration("period", 0, "sampling period (default 1s)")
-		logdir   = flag.String("logdir", "", "write per-rank logs and CSVs here")
-		staged   = flag.Bool("staged", false, "with -logdir: also write per-rank .zsbp logs (wire batch frames, one per sampling instant; read with zsreport -staged)")
+		logdir   = flag.String("logdir", "", "write per-rank reports, .zsbp frame logs (read with zsreport -staged) and the CSVs rendered from them here")
 		agg      = flag.String("agg", "", "stream samples to zsaggd aggregator(s): one base URL, or a comma-separated leaf-tier list routed by consistent hash with failover")
 		jobName  = flag.String("job", "zsrun", "job id used when streaming to -agg and in .zsbp frame origins")
 		trace    = flag.String("trace", "", "write the node-0 scheduling trace (Chrome trace JSON) here")
@@ -173,15 +176,16 @@ func main() {
 		}()
 	}
 	// Per-rank streams feed optional sinks: .zsbp files of wire frames (the
-	// ADIOS2-style output path, one frame per sampling instant) and/or an
-	// aggd node agent shipping batches to a zsaggd aggregator (the
-	// LDMS-style networked path). Both write the same frame format.
-	type stagedRank struct {
+	// ADIOS2-style output path, one frame per sampling instant, and the
+	// rank's only record of its samples) and/or an aggd node agent shipping
+	// batches to a zsaggd aggregator (the LDMS-style networked path). Both
+	// write the same frame format.
+	type rankLog struct {
 		file *os.File
 		log  *aggd.FrameLog
 	}
-	stagedSinks := map[int]*stagedRank{}
-	wantStaged := *staged && *logdir != "" && !*noMon
+	rankLogs := map[int]*rankLog{}
+	wantLogs := *logdir != "" && !*noMon
 	var streamer *aggd.JobStreamer
 	var aggURLs []string
 	if *agg != "" && !*noMon {
@@ -197,8 +201,8 @@ func main() {
 		}
 		streamer = aggd.NewJobStreamer(aggd.AgentConfig{URL: aggURLs[0], URLs: aggURLs, Job: *jobName})
 	}
-	if wantStaged || streamer != nil {
-		if wantStaged {
+	if wantLogs || streamer != nil {
+		if wantLogs {
 			if err := os.MkdirAll(*logdir, 0o755); err != nil {
 				fatal(err)
 			}
@@ -208,14 +212,13 @@ func main() {
 			if streamer != nil {
 				stream = streamer.StreamFor(rank, node)
 			}
-			if wantStaged {
-				path := filepath.Join(*logdir, fmt.Sprintf("zerosum.rank%03d.zsbp", rank))
-				f, err := os.Create(path)
+			if wantLogs {
+				f, err := os.Create(rankBase(*logdir, rank) + ".zsbp")
 				if err != nil {
 					fatal(err)
 				}
 				fl := aggd.NewFrameLog(f, aggd.Origin{Job: *jobName, Node: node, Rank: rank})
-				stagedSinks[rank] = &stagedRank{file: f, log: fl}
+				rankLogs[rank] = &rankLog{file: f, log: fl}
 				stream.Subscribe(fl.Subscriber())
 			}
 			return stream
@@ -248,7 +251,7 @@ func main() {
 			continue
 		}
 		// Rank 0 writes the summary to stdout; all ranks write their
-		// detailed report + CSVs to log files (paper §3.4/§3.6).
+		// detailed report to a log file (paper §3.4).
 		opts := report.Options{Contention: true, Memory: true, Self: *selfRep}
 		if rr.Rank == 0 || *verbose {
 			if err := report.Write(os.Stdout, rr.Snapshot, opts); err != nil {
@@ -257,7 +260,7 @@ func main() {
 			fmt.Println()
 		}
 		if *logdir != "" {
-			if err := writeRankLogs(*logdir, rr, opts); err != nil {
+			if err := writeRankReport(*logdir, rr, opts); err != nil {
 				fatal(err)
 			}
 		}
@@ -311,13 +314,20 @@ func main() {
 		fmt.Printf("#   curl %s/api/job/%s/summary\n", aggURLs[0], *jobName)
 		fmt.Printf("#   curl %s/metrics\n", aggURLs[0])
 	}
-	for rank, sr := range stagedSinks {
-		if err := sr.log.Close(); err != nil {
-			fatal(fmt.Errorf("staged rank %d: %w", rank, err))
+	// Each rank's CSVs (paper §3.6) are rendered from its .zsbp once the
+	// log holds the last instant.
+	for _, rr := range res.Ranks {
+		rl := rankLogs[rr.Rank]
+		if rl == nil {
+			continue
 		}
-		if err := sr.file.Close(); err != nil {
+		if err := rl.log.Close(); err != nil {
+			fatal(fmt.Errorf("rank %d log: %w", rr.Rank, err))
+		}
+		if err := rl.file.Close(); err != nil {
 			fatal(err)
 		}
+		writeRankCSVs(rankBase(*logdir, rr.Rank))
 	}
 	if *obsDump != "" && !*noMon {
 		var self *obs.SelfStats
@@ -350,42 +360,53 @@ func main() {
 	}
 }
 
-func writeRankLogs(dir string, rr workload.RankResult, opts report.Options) error {
+func rankBase(dir string, rank int) string {
+	return filepath.Join(dir, fmt.Sprintf("zerosum.rank%03d", rank))
+}
+
+func writeRankReport(dir string, rr workload.RankResult, opts report.Options) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	base := filepath.Join(dir, fmt.Sprintf("zerosum.rank%03d", rr.Rank))
-	logF, err := os.Create(base + ".log")
+	f, err := os.Create(rankBase(dir, rr.Rank) + ".log")
 	if err != nil {
 		return err
 	}
-	defer logF.Close()
-	if err := report.Write(logF, rr.Snapshot, opts); err != nil {
+	if err := report.Write(f, rr.Snapshot, opts); err != nil {
+		f.Close()
 		return err
 	}
-	type dump struct {
-		suffix string
-		fn     func(f *os.File) error
+	return f.Close()
+}
+
+// writeRankCSVs renders base.{lwp,hwt,gpu,mem}.csv from base.zsbp. zsrun
+// wrote that log itself, so a frame it cannot read is fatal, not a torn
+// tail to report around.
+func writeRankCSVs(base string) {
+	in, err := os.Open(base + ".zsbp")
+	if err != nil {
+		fatal(err)
 	}
-	for _, d := range []dump{
-		{".lwp.csv", func(f *os.File) error { return rr.Monitor.WriteLWPCSV(f) }},
-		{".hwt.csv", func(f *os.File) error { return rr.Monitor.WriteHWTCSV(f) }},
-		{".mem.csv", func(f *os.File) error { return rr.Monitor.WriteMemCSV(f) }},
-		{".gpu.csv", func(f *os.File) error { return rr.Monitor.WriteGPUCSV(f) }},
-	} {
-		f, err := os.Create(base + d.suffix)
-		if err != nil {
-			return err
+	defer in.Close()
+	var out [4]*os.File
+	for k, suffix := range []string{".lwp.csv", ".hwt.csv", ".gpu.csv", ".mem.csv"} {
+		if out[k], err = os.Create(base + suffix); err != nil {
+			fatal(err)
 		}
-		if err := d.fn(f); err != nil {
-			f.Close()
-			return err
-		}
+	}
+	sink := export.NewCSVSink(out[0], out[1], out[2], out[3])
+	bad := func(err error) { fatal(fmt.Errorf("%s.zsbp: %w", base, err)) }
+	if err := aggd.ReplayFrameLog(in, sink.Subscriber(), bad); err != nil {
+		bad(err)
+	}
+	if err := sink.Close(); err != nil {
+		fatal(err)
+	}
+	for _, f := range out {
 		if err := f.Close(); err != nil {
-			return err
+			fatal(err)
 		}
 	}
-	return nil
 }
 
 func itoa(n int) string {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
@@ -21,11 +22,17 @@ func main() {
 		log.Fatal("realproc needs a Linux /proc")
 	}
 
+	// The per-process LWP CSV log is written as samples are taken; the
+	// monitor keeps no series of its own.
+	var lwpCSV bytes.Buffer
+	sink := zerosum.NewCSVSink(&lwpCSV, nil, nil, nil)
+	var stream zerosum.Stream
+	stream.Subscribe(sink.Subscriber())
 	mon, err := zerosum.MonitorSelf(zerosum.MonitorConfig{
 		Period:         200 * time.Millisecond,
 		HeartbeatEvery: 5,
 		Heartbeat:      os.Stderr,
-		KeepSeries:     true,
+		Stream:         &stream,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -70,8 +77,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Dump the sampled time series like the tool's per-process CSV log.
-	if err := mon.WriteLWPCSV(os.Stdout); err != nil {
+	// Print the sampled time series, the tool's per-process CSV log.
+	if err := sink.Close(); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := lwpCSV.WriteTo(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -1,6 +1,8 @@
 package aggd
 
 import (
+	"errors"
+	"fmt"
 	"io"
 
 	"zerosum/internal/export"
@@ -61,4 +63,39 @@ func (l *FrameLog) flush() {
 func (l *FrameLog) Close() error {
 	l.flush()
 	return l.err
+}
+
+// ReplayFrameLog reads a FrameLog file and hands every event of every batch
+// frame to fn, in file order, so a reader sees the stream the log recorded.
+// Events are borrowed as on a live stream: valid only during the call. A
+// stretch of corrupt bytes, a frame of another kind or a batch that does not
+// decode is passed to skip and the replay goes on past it. Any other scan
+// error, such as a frame torn by a writer that died mid-write, ends the
+// replay and is returned; the events before it have been delivered.
+func ReplayFrameLog(r io.Reader, fn export.Subscriber, skip func(error)) error {
+	sc := NewFrameScanner(r)
+	var bb BatchBuf
+	for {
+		kind, payload, err := sc.Next()
+		var corrupt *CorruptFrameError
+		switch {
+		case err == io.EOF:
+			return nil
+		case errors.As(err, &corrupt):
+			skip(err)
+		case err != nil:
+			return err
+		case kind != FrameBatch:
+			skip(fmt.Errorf("skipping a frame of kind %d, not a sample batch", kind))
+		default:
+			b, err := DecodeBatchPayloadInto(payload, &bb)
+			if err != nil {
+				skip(fmt.Errorf("skipping a batch frame: %w", err))
+				continue
+			}
+			for _, ev := range b.Events {
+				fn(ev)
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"zerosum/internal/export"
@@ -119,5 +120,109 @@ func TestFrameLogWriteError(t *testing.T) {
 	}
 	if err := fl.Close(); err == nil || w.writes != 1 {
 		t.Fatalf("Close = %v after %d writes; want the first write's error, and no write after it", err, w.writes)
+	}
+}
+
+// csvLogs is one CSVSink's four outputs.
+type csvLogs struct{ lwp, hwt, gpu, mem strings.Builder }
+
+func (c *csvLogs) sink() *export.CSVSink {
+	return export.NewCSVSink(&c.lwp, &c.hwt, &c.gpu, &c.mem)
+}
+
+// TestCSVSinkEqualsFrameLog: the CSVs a sink writes live from a stream and
+// the CSVs rendered from a FrameLog of the same stream are the same bytes,
+// so a rank can keep only the log. One LWP sample is Stalled, which the
+// wire packs into the state byte's high bit.
+func TestCSVSinkEqualsFrameLog(t *testing.T) {
+	var live csvLogs
+	liveSink := live.sink()
+	var buf bytes.Buffer
+	fl := NewFrameLog(&buf, Origin{Job: "j", Node: "n0", Rank: 1})
+	var stream export.Stream
+	stream.Subscribe(liveSink.Subscriber())
+	stream.Subscribe(fl.Subscriber())
+	for i := 0; i < 4; i++ {
+		evs := frameLogInstant(i)
+		if i == 2 {
+			evs[0].LWP.Stalled, evs[0].LWP.State = true, 'S'
+		}
+		evs = append(evs, export.Event{Kind: export.EventLWP, TimeSec: evs[0].TimeSec, LWP: &export.LWPSample{
+			TimeSec: evs[0].TimeSec, TID: 4243, Kind: "Main, OpenMP", State: 'D', UserPct: 1.0 / 3,
+			NSwap: uint64(i), MajFlt: 7, CPU: 63, Stalled: i%2 == 1,
+		}})
+		for _, ev := range evs {
+			stream.Publish(ev)
+		}
+	}
+	if err := liveSink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var replayed csvLogs
+	sink := replayed.sink()
+	skip := func(err error) { t.Errorf("replay skipped: %v", err) }
+	if err := ReplayFrameLog(bytes.NewReader(buf.Bytes()), sink.Subscriber(), skip); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(live.lwp.String(), ",S,") || !strings.Contains(live.lwp.String(), ",1\n") {
+		t.Fatalf("live LWP log lacks the stalled sample:\n%s", live.lwp.String())
+	}
+	for _, c := range []struct {
+		kind       string
+		live, back *strings.Builder
+	}{
+		{"lwp", &live.lwp, &replayed.lwp}, {"hwt", &live.hwt, &replayed.hwt},
+		{"gpu", &live.gpu, &replayed.gpu}, {"mem", &live.mem, &replayed.mem},
+	} {
+		if c.live.String() != c.back.String() {
+			t.Errorf("%s CSV from the log differs from the live one:\nlive\n%s\nlog\n%s", c.kind, c.live.String(), c.back.String())
+		}
+	}
+}
+
+// TestReplayFrameLogSkipsAndStops: corrupt bytes between frames are passed
+// to skip and the replay goes on; a torn last frame ends it with an error
+// after the frames before it were delivered.
+func TestReplayFrameLogSkipsAndStops(t *testing.T) {
+	var buf bytes.Buffer
+	fl := NewFrameLog(&buf, Origin{Job: "j"})
+	sub := fl.Subscriber()
+	var frameEnds []int
+	for i := 0; i < 3; i++ {
+		for _, ev := range frameLogInstant(i) {
+			sub(ev) // the first event of instant i+1 writes frame i
+		}
+		frameEnds = append(frameEnds, buf.Len())
+	}
+	if err := fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// garbage after the first frame; the last frame loses its tail.
+	var damaged []byte
+	damaged = append(damaged, data[:frameEnds[1]]...)
+	damaged = append(damaged, "garbage"...)
+	damaged = append(damaged, data[frameEnds[1]:len(data)-4]...)
+
+	times := map[float64]bool{}
+	var skipped []error
+	err := ReplayFrameLog(bytes.NewReader(damaged), func(ev export.Event) { times[ev.TimeSec] = true },
+		func(err error) { skipped = append(skipped, err) })
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("replay ended with %v, want the torn frame's unexpected EOF", err)
+	}
+	var corrupt *CorruptFrameError
+	if len(skipped) != 1 || !errors.As(skipped[0], &corrupt) {
+		t.Fatalf("skipped %v, want one corrupt stretch", skipped)
+	}
+	if len(times) != 2 {
+		t.Fatalf("replayed %d instants, want the 2 before the torn frame", len(times))
 	}
 }

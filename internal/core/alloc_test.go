@@ -68,7 +68,6 @@ func writeFile(t *testing.T, path, text string) {
 // hot path: once the thread set is stable and every cache is warm, a full
 // Tick — task listing, per-LWP stat+status, /proc/stat, meminfo, process
 // status and io, all through the fd-cached RealFS — allocates nothing.
-// KeepSeries stays off because series retention allocates by design.
 func TestMonitorTickZeroSteadyStateAlloc(t *testing.T) {
 	root, pid := writeProcTree(t, os.Getpid(), 7001, 7002, 7003)
 	_ = pid
@@ -77,7 +76,7 @@ func TestMonitorTickZeroSteadyStateAlloc(t *testing.T) {
 
 	now := time.Unix(0, 0)
 	clock := func() time.Time { now = now.Add(time.Second); return now }
-	m, err := New(Config{KeepSeries: false}, Deps{FS: fs, Clock: clock})
+	m, err := New(Config{}, Deps{FS: fs, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,6 @@ func TestMonitorTickZeroAllocWithObs(t *testing.T) {
 	clock := func() time.Time { now = now.Add(time.Second); return now }
 	rec := obs.NewRecorder(64) // smaller than the tick count: exercises wrap
 	m, err := New(Config{
-		KeepSeries: false,
 		StallTicks: 3,
 		Obs:        rec,
 		Budget:     obs.Budget{Enabled: true},
@@ -168,8 +166,7 @@ func TestMonitorTickZeroAllocWithAdaptive(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { now = now.Add(time.Second); return now }
 	m, err := New(Config{
-		KeepSeries: false,
-		Adaptive:   AdaptiveConfig{Enabled: true},
+		Adaptive: AdaptiveConfig{Enabled: true},
 	}, Deps{FS: fs, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +225,7 @@ func TestMonitorScanWorkersEquivalent(t *testing.T) {
 		defer fs.Close()
 		now := time.Unix(0, 0)
 		clock := func() time.Time { now = now.Add(time.Second); return now }
-		m, err := New(Config{KeepSeries: true, ScanWorkers: workers}, Deps{FS: fs, Clock: clock})
+		m, err := New(Config{ScanWorkers: workers}, Deps{FS: fs, Clock: clock})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +262,7 @@ func TestMonitorThreadExitClosesReader(t *testing.T) {
 	defer fs.Close()
 	now := time.Unix(0, 0)
 	clock := func() time.Time { now = now.Add(time.Second); return now }
-	m, err := New(Config{KeepSeries: true}, Deps{FS: fs, Clock: clock})
+	m, err := New(Config{}, Deps{FS: fs, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 // through /proc/meminfo and /proc/<pid>/status, and GPU devices through an
 // SMI — then produces the utilization report (paper §3.4, Listing 2), the
 // contention report (§3.5), heartbeats (§3.3), configuration evaluation
-// (§3.2) and CSV/stream exports (§3.6).
+// (§3.2) and the sample stream the CSV logs are written from (§3.6).
 //
 // The monitor is substrate-agnostic: it consumes proc.FS and gpu.SMI
 // interfaces, so exactly the same code observes the kernel simulator and
@@ -61,12 +61,10 @@ type Config struct {
 	// DeadlockSamples is how many consecutive all-idle samples trigger a
 	// possible-deadlock hint (0 disables).
 	DeadlockSamples int
-	// Stream, when non-nil, receives every sample as it is taken.
+	// Stream, when non-nil, receives every sample as it is taken. It is the
+	// only way samples leave the monitor, which keeps none of them; an
+	// export.CSVSink on it writes the §3.6 CSV logs.
 	Stream *export.Stream
-	// KeepSeries retains every periodic sample for CSV export (default
-	// true; large runs may disable it and rely on the stream). The report
-	// (Snapshot) is the same either way.
-	KeepSeries bool
 	// RebindAfter, with a Rebinder in Deps, spreads piled-up busy threads
 	// across the cpuset after this many consecutive pileup samples
 	// (0 disables). The paper's "automatically (re)assign threads to HWT
@@ -209,11 +207,6 @@ type Monitor struct {
 	lwpParseSkips uint64 // task stat/status present but malformed
 	lastIO        proc.TaskIO
 	ioSeen        bool
-	ioSeries      []export.IOSample
-	lwpSeries     []export.LWPSample
-	hwtSeries     []export.HWTSample
-	gpuSeries     []export.GPUSample
-	memSeries     []export.MemSample
 	gpuAgg        []map[string]*MinAvgMax // per device, per metric
 	gpuInfo       []gpu.DeviceInfo
 	memMinFreeKB  uint64
@@ -523,9 +516,6 @@ func (m *Monitor) sampleThreads(now time.Time, t float64) error {
 					MinFlt: ts.minflt, MajFlt: ts.majflt, NSwap: ts.nswap,
 					CPU: ts.lastCPU,
 				}
-				if m.cfg.KeepSeries {
-					m.lwpSeries = append(m.lwpSeries, m.lwpSample)
-				}
 				m.publish(export.Event{Kind: export.EventLWP, TimeSec: t, LWP: &m.lwpSample})
 			}
 			ts.closeReader()
@@ -671,9 +661,6 @@ func (m *Monitor) applyThread(ts *threadState, now time.Time, t float64) {
 		MinFlt: st.MinFlt, MajFlt: st.MajFlt, NSwap: st.NSwap,
 		CPU: st.Processor, Stalled: ts.stalled,
 	}
-	if m.cfg.KeepSeries {
-		m.lwpSeries = append(m.lwpSeries, m.lwpSample)
-	}
 	m.publish(export.Event{Kind: export.EventLWP, TimeSec: t, LWP: &m.lwpSample})
 }
 
@@ -714,9 +701,6 @@ func (m *Monitor) sampleHWTs(t float64) error {
 			m.hwtSums = append(m.hwtSums, hwtSum{})
 		}
 		m.hwtSums[row.CPU].add(&m.hwtSample)
-		if m.cfg.KeepSeries {
-			m.hwtSeries = append(m.hwtSeries, m.hwtSample)
-		}
 		m.publish(export.Event{Kind: export.EventHWT, TimeSec: t, HWT: &m.hwtSample})
 	}
 	return nil
@@ -752,9 +736,6 @@ func (m *Monitor) sampleMemory(t float64) error {
 		TimeSec: t, TotalKB: mi.MemTotalKB, FreeKB: mi.MemFreeKB,
 		AvailKB: mi.MemAvailableKB, ProcRSSKB: rss, ProcHWMKB: hwm,
 	}
-	if m.cfg.KeepSeries {
-		m.memSeries = append(m.memSeries, m.memSample)
-	}
 	m.publish(export.Event{Kind: export.EventMem, TimeSec: t, Mem: &m.memSample})
 	return nil
 }
@@ -777,9 +758,6 @@ func (m *Monitor) sampleGPUs(t float64) error {
 			}
 			agg.Add(m.gpuVals[j])
 			m.gpuSample = export.GPUSample{TimeSec: t, GPU: i, Metric: name, Value: m.gpuVals[j]}
-			if m.cfg.KeepSeries {
-				m.gpuSeries = append(m.gpuSeries, m.gpuSample)
-			}
 			m.publish(export.Event{Kind: export.EventGPU, TimeSec: t, GPU: &m.gpuSample})
 		}
 	}
@@ -804,9 +782,6 @@ func (m *Monitor) sampleIO(t float64) {
 		TimeSec: t, RChar: io.RChar, WChar: io.WChar,
 		SyscR: io.SyscR, SyscW: io.SyscW,
 		ReadBytes: io.ReadBytes, WriteBytes: io.WriteBytes,
-	}
-	if m.cfg.KeepSeries {
-		m.ioSeries = append(m.ioSeries, m.ioSample)
 	}
 	m.publish(export.Event{Kind: export.EventIO, TimeSec: t, IO: &m.ioSample})
 }
@@ -1005,36 +980,6 @@ func (m *Monitor) Duration() time.Duration {
 	}
 	return end.Sub(m.started)
 }
-
-// WriteLWPCSV dumps the thread time series.
-func (m *Monitor) WriteLWPCSV(w io.Writer) error { return export.WriteLWPCSV(w, m.lwpSeries) }
-
-// WriteHWTCSV dumps the hardware-thread time series.
-func (m *Monitor) WriteHWTCSV(w io.Writer) error { return export.WriteHWTCSV(w, m.hwtSeries) }
-
-// WriteGPUCSV dumps the GPU metric time series.
-func (m *Monitor) WriteGPUCSV(w io.Writer) error { return export.WriteGPUCSV(w, m.gpuSeries) }
-
-// WriteMemCSV dumps the memory time series.
-func (m *Monitor) WriteMemCSV(w io.Writer) error { return export.WriteMemCSV(w, m.memSeries) }
-
-// WriteIOCSV dumps the process I/O time series.
-func (m *Monitor) WriteIOCSV(w io.Writer) error { return export.WriteIOCSV(w, m.ioSeries) }
-
-// IOSeries exposes the collected I/O samples.
-func (m *Monitor) IOSeries() []export.IOSample { return m.ioSeries }
-
-// LWPSeries exposes the collected thread samples (for analysis/examples).
-func (m *Monitor) LWPSeries() []export.LWPSample { return m.lwpSeries }
-
-// HWTSeries exposes the collected hardware-thread samples.
-func (m *Monitor) HWTSeries() []export.HWTSample { return m.hwtSeries }
-
-// MemSeries exposes the collected memory samples.
-func (m *Monitor) MemSeries() []export.MemSample { return m.memSeries }
-
-// GPUSeries exposes the collected GPU samples.
-func (m *Monitor) GPUSeries() []export.GPUSample { return m.gpuSeries }
 
 // sortedTIDs returns thread ids in discovery order (stable reports).
 func (m *Monitor) sortedTIDs() []int {

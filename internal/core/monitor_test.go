@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +12,6 @@ import (
 
 	"zerosum/internal/export"
 	"zerosum/internal/gpu"
-	"zerosum/internal/obs"
 	"zerosum/internal/proc"
 	"zerosum/internal/sim"
 	"zerosum/internal/topology"
@@ -112,6 +113,37 @@ type testClock struct{ now time.Time }
 func (c *testClock) advance(d time.Duration) { c.now = c.now.Add(d) }
 func (c *testClock) fn() func() time.Time    { return func() time.Time { return c.now } }
 
+// recorded holds a copy of every sample a monitor published, in order:
+// what a CSVSink or FrameLog on the stream sees.
+type recorded struct {
+	lwp []export.LWPSample
+	hwt []export.HWTSample
+	gpu []export.GPUSample
+	mem []export.MemSample
+	io  []export.IOSample
+}
+
+// record returns a stream for Config.Stream and the samples published on
+// it. Payloads are copied because the monitor lends them only for the call.
+func record() (*export.Stream, *recorded) {
+	s, r := &export.Stream{}, &recorded{}
+	s.Subscribe(func(ev export.Event) {
+		switch ev.Kind {
+		case export.EventLWP:
+			r.lwp = append(r.lwp, *ev.LWP)
+		case export.EventHWT:
+			r.hwt = append(r.hwt, *ev.HWT)
+		case export.EventGPU:
+			r.gpu = append(r.gpu, *ev.GPU)
+		case export.EventMem:
+			r.mem = append(r.mem, *ev.Mem)
+		case export.EventIO:
+			r.io = append(r.io, *ev.IO)
+		}
+	})
+	return s, r
+}
+
 func newTestMonitor(t *testing.T, fs proc.FS, cfg Config) (*Monitor, *testClock) {
 	t.Helper()
 	clk := &testClock{now: time.Date(2023, 11, 12, 9, 0, 0, 0, time.UTC)}
@@ -134,7 +166,8 @@ func TestNewValidation(t *testing.T) {
 func TestTickDiscoversThreadsAndUtilization(t *testing.T) {
 	fs := newFakeFS()
 	fs.addThread(1001, "omp", proc.StateRunning, topology.NewCPUSet(1))
-	m, clk := newTestMonitor(t, fs, Config{Period: time.Second, KeepSeries: true})
+	stream, rec := record()
+	m, clk := newTestMonitor(t, fs, Config{Period: time.Second, Stream: stream})
 	m.HintKind(1001, KindOpenMP)
 
 	if err := m.Tick(); err != nil {
@@ -170,8 +203,8 @@ func TestTickDiscoversThreadsAndUtilization(t *testing.T) {
 		t.Fatalf("omp stime%% = %v, want ~10", s)
 	}
 	// Per-sample series captured.
-	if len(m.LWPSeries()) != 4 { // 2 threads x 2 ticks
-		t.Fatalf("lwp samples = %d", len(m.LWPSeries()))
+	if len(rec.lwp) != 4 { // 2 threads x 2 ticks
+		t.Fatalf("lwp samples = %d", len(rec.lwp))
 	}
 }
 
@@ -213,7 +246,7 @@ func TestZeroSumSelfClassification(t *testing.T) {
 
 func TestHWTSampling(t *testing.T) {
 	fs := newFakeFS()
-	m, clk := newTestMonitor(t, fs, Config{Period: time.Second, KeepSeries: true})
+	m, clk := newTestMonitor(t, fs, Config{Period: time.Second})
 	m.Tick() // baseline
 	// CPU1: 60 user, 10 sys, 30 idle over the second.
 	fs.stat.PerCPU[1].User += 60
@@ -238,7 +271,7 @@ func TestHWTSampling(t *testing.T) {
 	// CPUs outside the process affinity (none here: 0-3 all in) —
 	// restrict affinity and confirm filtering.
 	fs.procStat.CpusAllowed = topology.NewCPUSet(1)
-	m2, clk2 := newTestMonitor(t, fs, Config{Period: time.Second, KeepSeries: true})
+	m2, clk2 := newTestMonitor(t, fs, Config{Period: time.Second})
 	m2.Tick()
 	fs.stat.PerCPU[2].Idle += 100
 	fs.stat.PerCPU[1].User += 100
@@ -252,7 +285,8 @@ func TestHWTSampling(t *testing.T) {
 
 func TestMemoryWatermarks(t *testing.T) {
 	fs := newFakeFS()
-	m, clk := newTestMonitor(t, fs, Config{KeepSeries: true})
+	stream, rec := record()
+	m, clk := newTestMonitor(t, fs, Config{Stream: stream})
 	m.Tick()
 	fs.mem.MemFreeKB = 1 << 20
 	fs.procStat.VmRSSKB = 4 << 20
@@ -269,8 +303,8 @@ func TestMemoryWatermarks(t *testing.T) {
 	if snap.MemPeakRSSKB != 4<<20 {
 		t.Fatalf("peak rss = %d", snap.MemPeakRSSKB)
 	}
-	if len(m.MemSeries()) != 3 {
-		t.Fatalf("mem samples = %d", len(m.MemSeries()))
+	if len(rec.mem) != 3 {
+		t.Fatalf("mem samples = %d", len(rec.mem))
 	}
 }
 
@@ -281,7 +315,8 @@ func TestGPUAggregation(t *testing.T) {
 		gpu.DefaultParams(), func() sim.Time { return now }, nil)
 	smi := gpu.NewSimSMI([]*gpu.Device{dev}, nil)
 	clk := &testClock{now: time.Unix(0, 0)}
-	m, err := New(Config{KeepSeries: true}, Deps{FS: fs, SMI: smi, Clock: clk.fn()})
+	stream, rec := record()
+	m, err := New(Config{Stream: stream}, Deps{FS: fs, SMI: smi, Clock: clk.fn()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +351,8 @@ func TestGPUAggregation(t *testing.T) {
 	if busy.Agg.Min != 0 {
 		t.Fatalf("busy min = %v", busy.Agg.Min)
 	}
-	if len(m.GPUSeries()) != 3*len(gpu.MetricNames) {
-		t.Fatalf("gpu samples = %d", len(m.GPUSeries()))
+	if len(rec.gpu) != 3*len(gpu.MetricNames) {
+		t.Fatalf("gpu samples = %d", len(rec.gpu))
 	}
 }
 
@@ -451,19 +486,16 @@ func TestFinishBlocksTicks(t *testing.T) {
 
 func TestCSVExports(t *testing.T) {
 	fs := newFakeFS()
-	m, clk := newTestMonitor(t, fs, Config{KeepSeries: true})
+	var lwp, hwt, mem strings.Builder
+	sink := export.NewCSVSink(&lwp, &hwt, nil, &mem)
+	var stream export.Stream
+	stream.Subscribe(sink.Subscriber())
+	m, clk := newTestMonitor(t, fs, Config{Stream: &stream})
 	m.Tick()
 	clk.advance(time.Second)
 	fs.burn(1000, 10, 2)
 	m.Tick()
-	var lwp, hwt, mem strings.Builder
-	if err := m.WriteLWPCSV(&lwp); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteHWTCSV(&hwt); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteMemCSV(&mem); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	back, err := export.ReadLWPCSV(strings.NewReader(lwp.String()))
@@ -511,7 +543,8 @@ func TestObservedCPUMigrationTracking(t *testing.T) {
 
 func TestSampleIOSeries(t *testing.T) {
 	fs := newFakeFS()
-	m, clk := newTestMonitor(t, fs, Config{KeepSeries: true})
+	stream, rec := record()
+	m, clk := newTestMonitor(t, fs, Config{Stream: stream})
 	m.Tick()
 	fs.io = proc.TaskIO{RChar: 100, WChar: 200, SyscR: 1, SyscW: 2, ReadBytes: 100, WriteBytes: 200}
 	clk.advance(time.Second)
@@ -520,16 +553,8 @@ func TestSampleIOSeries(t *testing.T) {
 	if snap.IOWriteBytes != 200 || snap.IOReadBytes != 100 {
 		t.Fatalf("io totals: %+v", snap)
 	}
-	if len(m.IOSeries()) != 2 {
-		t.Fatalf("io samples = %d", len(m.IOSeries()))
-	}
-	var sb strings.Builder
-	if err := m.WriteIOCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	back, err := export.ReadIOCSV(strings.NewReader(sb.String()))
-	if err != nil || len(back) != 2 || back[1].WriteBytes != 200 {
-		t.Fatalf("io csv round trip: %v %+v", err, back)
+	if len(rec.io) != 2 || rec.io[1].WriteBytes != 200 {
+		t.Fatalf("io samples: %+v", rec.io)
 	}
 }
 
@@ -650,7 +675,8 @@ func TestTickCountsSkippedThreads(t *testing.T) {
 	base.failTask[1003] = true // read error between listing and read
 	fs := &corruptFS{fakeFS: base, badStat: map[int]bool{1002: true}}
 
-	m, _ := newTestMonitor(t, fs, Config{Period: time.Second, KeepSeries: true})
+	stream, rec := record()
+	m, _ := newTestMonitor(t, fs, Config{Period: time.Second, Stream: stream})
 	if err := m.Tick(); err != nil {
 		t.Fatalf("a torn row must not abort the sample: %v", err)
 	}
@@ -659,7 +685,7 @@ func TestTickCountsSkippedThreads(t *testing.T) {
 		t.Fatalf("SampleSkips() = (%d, %d), want (1, 1)", reads, parses)
 	}
 	// The healthy threads were still sampled this tick.
-	if got := len(m.LWPSeries()); got != 2 {
+	if got := len(rec.lwp); got != 2 {
 		t.Fatalf("sampled %d threads, want 2", got)
 	}
 	snap := m.Snapshot()
@@ -778,45 +804,100 @@ func TestPublishedSelfStatsConcurrentWithTicks(t *testing.T) {
 	}
 }
 
-// TestSnapshotIndependentOfKeepSeries: the report's HWT table and memory
-// total are folds kept as samples arrive, so a monitor that retains no
-// series reports exactly what one that retains them does. The affinity
-// covers two of six CPUs, the jiffy splits give inexact means, and the
-// memory total moves, so every part of the fold is exercised.
-func TestSnapshotIndependentOfKeepSeries(t *testing.T) {
-	run := func(keep bool) Snapshot {
-		fs := newFakeFS()
-		fs.procStat.CpusAllowed = topology.NewCPUSet(1, 4)
-		fs.stat.PerCPU = make([]proc.CPUTimes, 6)
+// TestSnapshotFoldsPublishedSamples: the report's HWT table and memory
+// total are folds kept as samples are published, so they equal, bit for
+// bit, a replay of the stream, which is all a monitor leaves behind. The
+// affinity covers two of six CPUs, the jiffy splits give inexact means, and
+// the memory total moves, so every part of the fold is exercised.
+func TestSnapshotFoldsPublishedSamples(t *testing.T) {
+	fs := newFakeFS()
+	fs.procStat.CpusAllowed = topology.NewCPUSet(1, 4)
+	fs.stat.PerCPU = make([]proc.CPUTimes, 6)
+	for c := range fs.stat.PerCPU {
+		fs.stat.PerCPU[c].CPU = c
+	}
+	stream, rec := record()
+	m, clk := newTestMonitor(t, fs, Config{Period: time.Second, Stream: stream})
+	for tick := 0; tick < 12; tick++ {
 		for c := range fs.stat.PerCPU {
-			fs.stat.PerCPU[c].CPU = c
+			row := &fs.stat.PerCPU[c]
+			row.User += uint64(7*tick + 3*c + 1)
+			row.System += uint64(tick%3 + c%2)
+			row.Idle += uint64(13 + 5*((tick+c)%4))
 		}
-		m, clk := newTestMonitor(t, fs, Config{Period: time.Second, KeepSeries: keep})
-		for tick := 0; tick < 12; tick++ {
-			for c := range fs.stat.PerCPU {
-				row := &fs.stat.PerCPU[c]
-				row.User += uint64(7*tick + 3*c + 1)
-				row.System += uint64(tick%3 + c%2)
-				row.Idle += uint64(13 + 5*((tick+c)%4))
+		fs.mem.MemTotalKB = uint64(16<<20 + 4*tick)
+		if err := m.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		clk.advance(time.Second)
+	}
+	m.Finish()
+	snap := m.Snapshot()
+
+	var want []HWTSummary
+	for _, cpu := range []int{1, 4} {
+		var sum hwtSum
+		for k := range rec.hwt {
+			if rec.hwt[k].CPU == cpu {
+				sum.add(&rec.hwt[k])
 			}
-			fs.mem.MemTotalKB = uint64(16<<20 + 4*tick)
+		}
+		n := float64(sum.n)
+		want = append(want, HWTSummary{CPU: cpu, IdlePct: sum.idle / n, SysPct: sum.sys / n, UserPct: sum.user / n})
+	}
+	if !reflect.DeepEqual(snap.HWTs, want) {
+		t.Errorf("HWT rows %+v, want the means of the published samples %+v", snap.HWTs, want)
+	}
+	if last := rec.mem[len(rec.mem)-1].TotalKB; snap.MemTotalKB != last || last != 16<<20+44 {
+		t.Errorf("MemTotalKB %d, want the last published total %d (= %d)", snap.MemTotalKB, last, 16<<20+44)
+	}
+}
+
+// TestRetainedHeapFlat: with its CSV log on, a monitor holds no more after
+// ten times the ticks. Every sample leaves through the stream, so the heap
+// a long run retains is bounded by the thread and CPU count, not by time.
+// 64 CPUs and 8 threads publish about 3.5 KiB of samples a tick, so the
+// 900 extra ticks would retain about 3 MiB if anything kept them.
+func TestRetainedHeapFlat(t *testing.T) {
+	const n, bound = 100, 256 << 10
+	fs := newFakeFS()
+	fs.stat.PerCPU = make([]proc.CPUTimes, 64)
+	for c := range fs.stat.PerCPU {
+		fs.stat.PerCPU[c].CPU = c
+	}
+	for tid := 1001; tid < 1008; tid++ {
+		fs.addThread(tid, "omp", proc.StateRunning, topology.NewCPUSet(tid-1000))
+	}
+	sink := export.NewCSVSink(io.Discard, io.Discard, io.Discard, io.Discard)
+	var stream export.Stream
+	stream.Subscribe(sink.Subscriber())
+	m, clk := newTestMonitor(t, fs, Config{Period: time.Second, Stream: &stream})
+	tick := func(ticks int) uint64 {
+		for k := 0; k < ticks; k++ {
+			for c := range fs.stat.PerCPU {
+				fs.stat.PerCPU[c].User += uint64(1 + c%5)
+				fs.stat.PerCPU[c].Idle += 10
+			}
+			for _, tid := range fs.tasks {
+				fs.burn(tid, 3, 1)
+			}
 			if err := m.Tick(); err != nil {
 				t.Fatal(err)
 			}
 			clk.advance(time.Second)
 		}
-		m.Finish()
-		snap := m.Snapshot()
-		snap.Self = obs.SelfStats{} // the monitor's own cost, not what it observed
-		return snap
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	kept, folded := run(true), run(false)
-	if len(kept.HWTs) != 2 || kept.MemTotalKB != 16<<20+44 {
-		t.Fatalf("with series kept: %d HWT rows and MemTotalKB %d, want 2 and %d",
-			len(kept.HWTs), kept.MemTotalKB, 16<<20+44)
+	short := tick(n)
+	long := tick(9 * n) // 10*n ticks in all
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(kept, folded) {
-		t.Errorf("Snapshot differs with KeepSeries off:\n kept   HWTs %+v MemTotalKB %d\n folded HWTs %+v MemTotalKB %d",
-			kept.HWTs, kept.MemTotalKB, folded.HWTs, folded.MemTotalKB)
+	runtime.KeepAlive(m)
+	if grew := int64(long) - int64(short); grew >= bound {
+		t.Fatalf("retained heap grew %d bytes from %d to %d ticks, want < %d", grew, n, 10*n, bound)
 	}
 }

@@ -219,7 +219,7 @@ func (m *Monitor) Snapshot() Snapshot {
 }
 
 // hwtSum accumulates one CPU's samples for its HWT row, in sample order, so
-// the means match a replay of the retained series bit for bit.
+// the means match a replay of the CPU's published samples bit for bit.
 type hwtSum struct {
 	idle, sys, user float64
 	n               int

@@ -13,6 +13,7 @@ import (
 
 	"zerosum/internal/analysis"
 	"zerosum/internal/core"
+	"zerosum/internal/export"
 	"zerosum/internal/openmp"
 	"zerosum/internal/sched"
 	"zerosum/internal/sim"
@@ -64,16 +65,16 @@ type TableResult struct {
 	Result       *workload.Result
 }
 
-// table runs miniQMC under one of the paper's three configurations.
-func table(n int, scale float64, seed uint64, monitored bool) (*TableResult, error) {
+// table runs miniQMC, monitored, under one of the paper's three
+// configurations. streamFor, when non-nil, supplies the ranks' streams.
+func table(n int, scale float64, seed uint64, streamFor func(rank int, node string) *export.Stream) (*TableResult, error) {
 	cfg := workload.Config{
 		Machine: topology.Frontier,
 		App:     miniQMC(scale),
+		Monitor: monitorOn(),
 		Seed:    seed,
 	}
-	if monitored {
-		cfg.Monitor = monitorOn()
-	}
+	cfg.Monitor.StreamFor = streamFor
 	var label string
 	var paper float64
 	switch n {
@@ -106,27 +107,24 @@ func table(n int, scale float64, seed uint64, monitored bool) (*TableResult, err
 	if err != nil {
 		return nil, err
 	}
-	out := &TableResult{
+	return &TableResult{
 		Label:        label,
 		Command:      cfg.Srun.CommandLine("zerosum-mpi miniqmc"),
 		WallSeconds:  res.WallSeconds,
 		PaperSeconds: paper * scale,
+		Snapshot:     res.Ranks[0].Snapshot,
 		Result:       res,
-	}
-	if monitored {
-		out.Snapshot = res.Ranks[0].Snapshot
-	}
-	return out, nil
+	}, nil
 }
 
 // Table1 reproduces the default-configuration disaster.
-func Table1(scale float64, seed uint64) (*TableResult, error) { return table(1, scale, seed, true) }
+func Table1(scale float64, seed uint64) (*TableResult, error) { return table(1, scale, seed, nil) }
 
 // Table2 reproduces the -c7 configuration.
-func Table2(scale float64, seed uint64) (*TableResult, error) { return table(2, scale, seed, true) }
+func Table2(scale float64, seed uint64) (*TableResult, error) { return table(2, scale, seed, nil) }
 
 // Table3 reproduces the -c7 + spread/cores configuration.
-func Table3(scale float64, seed uint64) (*TableResult, error) { return table(3, scale, seed, true) }
+func Table3(scale float64, seed uint64) (*TableResult, error) { return table(3, scale, seed, nil) }
 
 // Listing1 renders the paper's hwloc topology listing for the 4-core test
 // laptop.
@@ -213,40 +211,54 @@ type SeriesResult struct {
 }
 
 // Figures6And7 runs the Table 3 configuration and assembles per-LWP and
-// per-HWT utilization time series from the monitor's CSV data.
+// per-HWT utilization time series from rank 0's sample stream.
 func Figures6And7(scale float64, seed uint64) (*SeriesResult, error) {
-	tr, err := table(3, scale, seed, true)
-	if err != nil {
-		return nil, err
-	}
-	mon := tr.Result.Ranks[0].Monitor
 	out := &SeriesResult{
 		LWP: analysis.NewStackedChart("miniQMC LWP (threads) utilization over time"),
 		HWT: analysis.NewStackedChart("CPU core utilization over time"),
 	}
 	lwpUser := map[int]*analysis.Series{}
-	for _, s := range mon.LWPSeries() {
-		sr := lwpUser[s.TID]
-		if sr == nil {
-			sr = &analysis.Series{Name: fmt.Sprintf("LWP %d user%%", s.TID)}
-			lwpUser[s.TID] = sr
-			out.LWP.Add(sr)
-		}
-		sr.Append(s.TimeSec, s.UserPct)
-	}
 	hwtUser := map[int]*analysis.Series{}
-	aff := tr.Result.Ranks[0].Snapshot.ProcessAff
-	for _, s := range mon.HWTSeries() {
-		if !aff.Contains(s.CPU) {
-			continue
+	var cpus []int // in order of first sample
+	rank0 := func(rank int, _ string) *export.Stream {
+		if rank != 0 {
+			return nil
 		}
-		sr := hwtUser[s.CPU]
-		if sr == nil {
-			sr = &analysis.Series{Name: fmt.Sprintf("CPU %d user%%", s.CPU)}
-			hwtUser[s.CPU] = sr
-			out.HWT.Add(sr)
+		s := &export.Stream{}
+		// Payloads are borrowed for the call: copy the values out.
+		s.Subscribe(func(ev export.Event) {
+			switch ev.Kind {
+			case export.EventLWP:
+				sr := lwpUser[ev.LWP.TID]
+				if sr == nil {
+					sr = &analysis.Series{Name: fmt.Sprintf("LWP %d user%%", ev.LWP.TID)}
+					lwpUser[ev.LWP.TID] = sr
+					out.LWP.Add(sr)
+				}
+				sr.Append(ev.LWP.TimeSec, ev.LWP.UserPct)
+			case export.EventHWT:
+				sr := hwtUser[ev.HWT.CPU]
+				if sr == nil {
+					sr = &analysis.Series{Name: fmt.Sprintf("CPU %d user%%", ev.HWT.CPU)}
+					hwtUser[ev.HWT.CPU] = sr
+					cpus = append(cpus, ev.HWT.CPU)
+				}
+				sr.Append(ev.HWT.TimeSec, ev.HWT.UserPct)
+			}
+		})
+		return s
+	}
+	tr, err := table(3, scale, seed, rank0)
+	if err != nil {
+		return nil, err
+	}
+	// Chart only the CPUs in the process's cpuset, which is known once the
+	// run has been observed.
+	aff := tr.Snapshot.ProcessAff
+	for _, cpu := range cpus {
+		if aff.Contains(cpu) {
+			out.HWT.Add(hwtUser[cpu])
 		}
-		sr.Append(s.TimeSec, s.UserPct)
 	}
 	out.LWPNoisiness = meanNoisiness(out.LWP, 20)
 	out.HWTNoisiness = meanNoisiness(out.HWT, 20)

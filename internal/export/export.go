@@ -76,8 +76,9 @@ var (
 	HWTHeader = []string{"time", "cpu", "idle_pct", "sys_pct", "user_pct"}
 	GPUHeader = []string{"time", "gpu", "metric", "value"}
 	MemHeader = []string{"time", "total_kb", "free_kb", "avail_kb", "rss_kb", "hwm_kb"}
-	IOHeader  = []string{"time", "rchar", "wchar", "syscr", "syscw", "read_bytes", "write_bytes"}
 )
+
+var commHeader = []string{"dst", "src", "bytes"}
 
 func f(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 func u(v uint64) string  { return strconv.FormatUint(v, 10) }
@@ -90,163 +91,111 @@ func b(v bool) string {
 	return "0"
 }
 
-// WriteLWPCSV writes the thread samples with a header row.
-func WriteLWPCSV(w io.Writer, samples []LWPSample) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(LWPHeader); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		rec := []string{f(s.TimeSec), i(s.TID), s.Kind, string(s.State),
-			f(s.UserPct), f(s.SysPct), u(s.VCtx), u(s.NVCtx),
-			u(s.MinFlt), u(s.MajFlt), u(s.NSwap), i(s.CPU), b(s.Stalled)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+// CSVSink writes the per-process CSV logs (§3.6) from a stream: one row
+// per LWP, HWT, GPU or Mem event, to the writer given for that kind. It
+// holds no samples, so a monitor that logs for days holds no more than one
+// that logs for a second. Each kind's header is written at creation, so a
+// kind that never gets a row still yields a file with its header. After
+// the first write error the sink only discards; Close reports that error.
+// Its events must arrive one at a time, as one monitor publishes them.
+type CSVSink struct {
+	w   [EventMem + 1]*csv.Writer // by EventKind; nil: the kind is not logged
+	rec []string
+	err error
 }
 
-// ReadLWPCSV parses what WriteLWPCSV wrote.
+// NewCSVSink starts a sink; a nil writer skips that kind's events.
+func NewCSVSink(lwp, hwt, gpu, mem io.Writer) *CSVSink {
+	s := &CSVSink{}
+	headers := [...][]string{EventLWP: LWPHeader, EventHWT: HWTHeader, EventGPU: GPUHeader, EventMem: MemHeader}
+	for k, w := range [...]io.Writer{EventLWP: lwp, EventHWT: hwt, EventGPU: gpu, EventMem: mem} {
+		if w != nil && s.err == nil {
+			s.w[k] = csv.NewWriter(w)
+			s.err = s.w[k].Write(headers[k])
+		}
+	}
+	return s
+}
+
+// Subscriber returns the stream callback. Payloads are formatted before it
+// returns, so the stream's borrowed pointers are never kept.
+func (s *CSVSink) Subscriber() Subscriber {
+	return func(ev Event) {
+		if uint(ev.Kind) >= uint(len(s.w)) || s.w[ev.Kind] == nil || s.err != nil {
+			return
+		}
+		switch ev.Kind {
+		case EventLWP:
+			l := ev.LWP
+			s.rec = append(s.rec[:0], f(l.TimeSec), i(l.TID), l.Kind, string(l.State),
+				f(l.UserPct), f(l.SysPct), u(l.VCtx), u(l.NVCtx),
+				u(l.MinFlt), u(l.MajFlt), u(l.NSwap), i(l.CPU), b(l.Stalled))
+		case EventHWT:
+			h := ev.HWT
+			s.rec = append(s.rec[:0], f(h.TimeSec), i(h.CPU), f(h.IdlePct), f(h.SysPct), f(h.UserPct))
+		case EventGPU:
+			g := ev.GPU
+			s.rec = append(s.rec[:0], f(g.TimeSec), i(g.GPU), g.Metric, f(g.Value))
+		case EventMem:
+			m := ev.Mem
+			s.rec = append(s.rec[:0], f(m.TimeSec), u(m.TotalKB), u(m.FreeKB), u(m.AvailKB), u(m.ProcRSSKB), u(m.ProcHWMKB))
+		}
+		s.err = s.w[ev.Kind].Write(s.rec)
+	}
+}
+
+// Close flushes every kind's writer and reports the first error the sink
+// met. It does not close the underlying writers.
+func (s *CSVSink) Close() error {
+	for _, cw := range s.w {
+		if cw != nil && s.err == nil {
+			cw.Flush()
+			s.err = cw.Error()
+		}
+	}
+	return s.err
+}
+
+// ReadLWPCSV parses a CSVSink's LWP log.
 func ReadLWPCSV(r io.Reader) ([]LWPSample, error) {
-	rows, err := readRows(r, len(LWPHeader), "lwp")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]LWPSample, 0, len(rows))
-	for _, rec := range rows {
-		var s LWPSample
-		s.TimeSec = pf(rec[0])
-		s.TID = pi(rec[1])
-		s.Kind = rec[2]
-		if len(rec[3]) > 0 {
-			s.State = rec[3][0]
+	return readRows(r, LWPHeader, "lwp", func(c *cells) LWPSample {
+		s := LWPSample{TimeSec: c.f(0), TID: c.i(1), Kind: c.rec[2]}
+		if len(c.rec[3]) > 0 {
+			s.State = c.rec[3][0]
 		}
-		s.UserPct, s.SysPct = pf(rec[4]), pf(rec[5])
-		s.VCtx, s.NVCtx = pu(rec[6]), pu(rec[7])
-		s.MinFlt, s.MajFlt, s.NSwap = pu(rec[8]), pu(rec[9]), pu(rec[10])
-		s.CPU = pi(rec[11])
-		s.Stalled = rec[12] == "1"
-		out = append(out, s)
-	}
-	return out, nil
+		s.UserPct, s.SysPct = c.f(4), c.f(5)
+		s.VCtx, s.NVCtx = c.u(6), c.u(7)
+		s.MinFlt, s.MajFlt, s.NSwap = c.u(8), c.u(9), c.u(10)
+		s.CPU = c.i(11)
+		s.Stalled = c.rec[12] == "1"
+		return s
+	})
 }
 
-// WriteHWTCSV writes the hardware-thread samples.
-func WriteHWTCSV(w io.Writer, samples []HWTSample) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(HWTHeader); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		if err := cw.Write([]string{f(s.TimeSec), i(s.CPU), f(s.IdlePct), f(s.SysPct), f(s.UserPct)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadHWTCSV parses what WriteHWTCSV wrote.
+// ReadHWTCSV parses a CSVSink's HWT log.
 func ReadHWTCSV(r io.Reader) ([]HWTSample, error) {
-	rows, err := readRows(r, len(HWTHeader), "hwt")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]HWTSample, 0, len(rows))
-	for _, rec := range rows {
-		out = append(out, HWTSample{
-			TimeSec: pf(rec[0]), CPU: pi(rec[1]),
-			IdlePct: pf(rec[2]), SysPct: pf(rec[3]), UserPct: pf(rec[4]),
-		})
-	}
-	return out, nil
-}
-
-// WriteGPUCSV writes the GPU metric samples.
-func WriteGPUCSV(w io.Writer, samples []GPUSample) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(GPUHeader); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		if err := cw.Write([]string{f(s.TimeSec), i(s.GPU), s.Metric, f(s.Value)}); err != nil {
-			return err
+	return readRows(r, HWTHeader, "hwt", func(c *cells) HWTSample {
+		return HWTSample{
+			TimeSec: c.f(0), CPU: c.i(1),
+			IdlePct: c.f(2), SysPct: c.f(3), UserPct: c.f(4),
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
-// WriteMemCSV writes the memory samples.
-func WriteMemCSV(w io.Writer, samples []MemSample) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(MemHeader); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		if err := cw.Write([]string{f(s.TimeSec), u(s.TotalKB), u(s.FreeKB), u(s.AvailKB), u(s.ProcRSSKB), u(s.ProcHWMKB)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadMemCSV parses what WriteMemCSV wrote.
+// ReadMemCSV parses a CSVSink's memory log.
 func ReadMemCSV(r io.Reader) ([]MemSample, error) {
-	rows, err := readRows(r, len(MemHeader), "mem")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MemSample, 0, len(rows))
-	for _, rec := range rows {
-		out = append(out, MemSample{
-			TimeSec: pf(rec[0]), TotalKB: pu(rec[1]), FreeKB: pu(rec[2]),
-			AvailKB: pu(rec[3]), ProcRSSKB: pu(rec[4]), ProcHWMKB: pu(rec[5]),
-		})
-	}
-	return out, nil
-}
-
-// WriteIOCSV writes the process I/O samples.
-func WriteIOCSV(w io.Writer, samples []IOSample) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(IOHeader); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		rec := []string{f(s.TimeSec), u(s.RChar), u(s.WChar), u(s.SyscR), u(s.SyscW), u(s.ReadBytes), u(s.WriteBytes)}
-		if err := cw.Write(rec); err != nil {
-			return err
+	return readRows(r, MemHeader, "mem", func(c *cells) MemSample {
+		return MemSample{
+			TimeSec: c.f(0), TotalKB: c.u(1), FreeKB: c.u(2),
+			AvailKB: c.u(3), ProcRSSKB: c.u(4), ProcHWMKB: c.u(5),
 		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadIOCSV parses what WriteIOCSV wrote.
-func ReadIOCSV(r io.Reader) ([]IOSample, error) {
-	rows, err := readRows(r, len(IOHeader), "io")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]IOSample, 0, len(rows))
-	for _, rec := range rows {
-		out = append(out, IOSample{
-			TimeSec: pf(rec[0]), RChar: pu(rec[1]), WChar: pu(rec[2]),
-			SyscR: pu(rec[3]), SyscW: pu(rec[4]),
-			ReadBytes: pu(rec[5]), WriteBytes: pu(rec[6]),
-		})
-	}
-	return out, nil
+	})
 }
 
 // WriteCommCSV writes the MPI point-to-point matrix as dst,src,bytes rows.
 func WriteCommCSV(w io.Writer, matrix [][]uint64) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dst", "src", "bytes"}); err != nil {
+	if err := cw.Write(commHeader); err != nil {
 		return err
 	}
 	for d, row := range matrix {
@@ -268,50 +217,83 @@ func ReadCommCSV(r io.Reader, size int) ([][]uint64, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("export: negative comm matrix size %d", size)
 	}
-	rows, err := readRows(r, 3, "comm")
-	if err != nil {
-		return nil, err
-	}
 	m := make([][]uint64, size)
 	for d := range m {
 		m[d] = make([]uint64, size)
 	}
-	for _, rec := range rows {
-		d, s := pi(rec[0]), pi(rec[1])
-		if d < 0 || d >= size || s < 0 || s >= size {
-			return nil, fmt.Errorf("export: comm entry (%d,%d) outside %dx%d", d, s, size, size)
+	_, err := readRows(r, commHeader, "comm", func(c *cells) struct{} {
+		d, s, v := c.i(0), c.i(1), c.u(2)
+		if c.err == nil && (d < 0 || d >= size || s < 0 || s >= size) {
+			c.err = fmt.Errorf("export: comm entry (%d,%d) outside %dx%d", d, s, size, size)
 		}
-		m[d][s] = pu(rec[2])
+		if c.err == nil {
+			m[d][s] = v
+		}
+		return struct{}{}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-func readRows(r io.Reader, width int, what string) ([][]string, error) {
-	cr := csv.NewReader(r)
-	all, err := cr.ReadAll()
+// readRows reads a CSV whose first row is a header as wide as header and
+// parses every later row with row. The first cell row cannot parse fails
+// the read with an error naming the kind, the row (1-based, counting data
+// rows after the header) and the column.
+func readRows[T any](r io.Reader, header []string, what string, row func(*cells) T) ([]T, error) {
+	all, err := csv.NewReader(r).ReadAll()
 	if err != nil {
 		return nil, fmt.Errorf("export: read %s csv: %w", what, err)
 	}
 	if len(all) == 0 {
 		return nil, fmt.Errorf("export: %s csv is empty", what)
 	}
-	if len(all[0]) != width {
-		return nil, fmt.Errorf("export: %s csv has %d columns, want %d", what, len(all[0]), width)
+	if len(all[0]) != len(header) {
+		return nil, fmt.Errorf("export: %s csv has %d columns, want %d", what, len(all[0]), len(header))
 	}
-	return all[1:], nil
+	out := make([]T, 0, len(all)-1)
+	c := cells{what: what, header: header}
+	for n, rec := range all[1:] {
+		c.row, c.rec = n+1, rec
+		v := row(&c)
+		if c.err != nil {
+			return nil, c.err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
-func pf(s string) float64 {
-	v, _ := strconv.ParseFloat(s, 64)
+// cells parses the cells of one CSV row and keeps the first failure.
+type cells struct {
+	what   string
+	header []string
+	row    int
+	rec    []string
+	err    error
+}
+
+func (c *cells) fail(col int, err error) {
+	if err != nil && c.err == nil {
+		c.err = fmt.Errorf("export: %s csv row %d, column %s: %w", c.what, c.row, c.header[col], err)
+	}
+}
+
+func (c *cells) f(col int) float64 {
+	v, err := strconv.ParseFloat(c.rec[col], 64)
+	c.fail(col, err)
 	return v
 }
 
-func pi(s string) int {
-	v, _ := strconv.Atoi(s)
+func (c *cells) i(col int) int {
+	v, err := strconv.Atoi(c.rec[col])
+	c.fail(col, err)
 	return v
 }
 
-func pu(s string) uint64 {
-	v, _ := strconv.ParseUint(s, 10, 64)
+func (c *cells) u(col int) uint64 {
+	v, err := strconv.ParseUint(c.rec[col], 10, 64)
+	c.fail(col, err)
 	return v
 }

@@ -55,7 +55,10 @@ type MonitorConfig struct {
 	// origin-labelled sinks). node is the simulated hostname the rank was
 	// placed on.
 	StreamFor func(rank int, node string) *export.Stream
-	// KeepSeries retains the full time series (default true).
+	// DropSeries does nothing: monitors retain no series, and a rank's
+	// samples leave only through its stream (Stream, StreamFor).
+	//
+	// Deprecated: no-op, kept for callers that still set it.
 	DropSeries bool
 	// DeadlockSamples enables the deadlock hint after N all-idle samples.
 	DeadlockSamples int
@@ -448,7 +451,6 @@ func injectMonitor(rc *RankCtx, mc MonitorConfig) error {
 		Adaptive:        mc.Adaptive,
 		Obs:             mc.Obs,
 		Stream:          stream,
-		KeepSeries:      !mc.DropSeries,
 	}, core.Deps{
 		FS:       fs,
 		SMI:      rc.SMI,

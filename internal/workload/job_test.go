@@ -506,15 +506,32 @@ func TestAutoRebindRecoversPileup(t *testing.T) {
 // and the contention between concurrently checkpointing ranks shows up as
 // wall time (the Darshan-flavoured path).
 func TestCheckpointIOMonitored(t *testing.T) {
-	mk := func(fsBW float64) *Result {
+	// Rank 0's I/O samples, copied off its stream (payloads are borrowed).
+	var samples []export.IOSample
+	mk := func(fsBW float64, record bool) *Result {
 		mq := scaledMiniQMC()
 		mq.Checkpoint = &Checkpoint{EverySteps: 2, Bytes: 200 << 20} // 200 MB
+		mc := MonitorConfig{Enabled: true, Period: 100 * sim.Millisecond, CPU: -1}
+		if record {
+			mc.StreamFor = func(rank int, _ string) *export.Stream {
+				if rank != 0 {
+					return nil
+				}
+				s := &export.Stream{}
+				s.Subscribe(func(ev export.Event) {
+					if ev.Kind == export.EventIO {
+						samples = append(samples, *ev.IO)
+					}
+				})
+				return s
+			}
+		}
 		res, err := Run(Config{
 			Machine: topology.Frontier,
 			App:     mq,
 			Srun:    slurm.Options{NTasks: 8, CoresPerTask: 7},
 			OMP:     openmp.Env{NumThreads: 7, Bind: openmp.BindSpread, Places: openmp.PlacesCores},
-			Monitor: MonitorConfig{Enabled: true, Period: 100 * sim.Millisecond, CPU: -1},
+			Monitor: mc,
 			FS:      &fsio.Params{BytesPerSec: fsBW, LatencyPerOp: sim.Millisecond},
 			Seed:    55,
 		})
@@ -523,8 +540,8 @@ func TestCheckpointIOMonitored(t *testing.T) {
 		}
 		return res
 	}
-	fast := mk(50e9)
-	slow := mk(2e9)
+	fast := mk(50e9, true)
+	slow := mk(2e9, false)
 
 	// The monitor saw the write counters.
 	snap := fast.Ranks[0].Snapshot
@@ -546,16 +563,8 @@ func TestCheckpointIOMonitored(t *testing.T) {
 		t.Fatalf("slow FS wall %v vs fast %v: expected visible I/O contention",
 			slow.WallSeconds, fast.WallSeconds)
 	}
-	// And the CSV export carries the series.
-	var sb strings.Builder
-	if err := fast.Ranks[0].Monitor.WriteIOCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := export.ReadIOCSV(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// And the stream carries the series.
 	if len(samples) == 0 || samples[len(samples)-1].WriteBytes != wantBytes {
-		t.Fatalf("io csv: %d samples, last %+v", len(samples), samples[len(samples)-1])
+		t.Fatalf("io stream: %d samples, want the last at %d bytes written", len(samples), wantBytes)
 	}
 }

@@ -65,6 +65,8 @@ type (
 	ProcFS = proc.FS
 	// Stream is the in-process sample pub/sub hook.
 	Stream = export.Stream
+	// CSVSink writes a stream's samples as the per-process CSV logs.
+	CSVSink = export.CSVSink
 	// ObsRecorder is the monitor's internal span ring (self-observability).
 	ObsRecorder = obs.Recorder
 	// ObsBudget configures the self-overhead watchdog (§4.1).
@@ -120,6 +122,13 @@ type (
 // NewMonitor creates a monitor over arbitrary dependencies.
 func NewMonitor(cfg MonitorConfig, deps MonitorDeps) (*Monitor, error) {
 	return core.New(cfg, deps)
+}
+
+// NewCSVSink writes each LWP, HWT, GPU and Mem sample of a stream as one
+// CSV row to that kind's writer; a nil writer skips the kind. Subscribe
+// its Subscriber to the monitor's Stream and Close it after the last tick.
+func NewCSVSink(lwp, hwt, gpu, mem io.Writer) *CSVSink {
+	return export.NewCSVSink(lwp, hwt, gpu, mem)
 }
 
 // NewRealProcFS returns the live Linux /proc view of this host.

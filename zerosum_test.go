@@ -89,7 +89,7 @@ func TestMonitorSelfLiveHost(t *testing.T) {
 	if _, err := os.Stat("/proc/self/stat"); err != nil {
 		t.Skip("no /proc")
 	}
-	mon, err := MonitorSelf(MonitorConfig{Period: 20 * time.Millisecond, KeepSeries: true})
+	mon, err := MonitorSelf(MonitorConfig{Period: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
