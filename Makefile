@@ -96,14 +96,17 @@ bench-correct:
 	done
 
 # golden gates the end-of-run report layout (paper Listing 2, including the
-# §3.3 stalled column) against internal/report/testdata/, and the bytes of
+# §3.3 stalled column) against internal/report/testdata/, the bytes of
 # zsrun -logdir's per-rank report and §3.6 CSVs (rendered from each rank's
-# .zsbp frame log) against sha256 sums pinned in cmd/zsrun/main_test.go.
+# .zsbp frame log) against sha256 sums pinned in cmd/zsrun/main_test.go, and
+# the tsdb store's accounting and ZSTB dump of a seeded append script against
+# the values pinned in internal/tsdb/store_test.go.
 # After reviewing an intentional layout change, refresh the report goldens
 # with `make golden-update`, paste the new CSV sums by hand, and commit.
 golden:
 	$(GO) test ./internal/report -run TestGolden
 	$(GO) test ./cmd/zsrun -run '^TestLogdirGolden$$'
+	$(GO) test ./internal/tsdb -run '^TestStoreLayoutGolden$$'
 
 golden-update:
 	$(GO) test ./internal/report -run TestGolden -update

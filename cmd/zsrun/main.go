@@ -13,6 +13,7 @@
 // With -logdir, each monitored rank logs its samples to zerosum.rankNNN.zsbp
 // as wire frames while the job runs; its .lwp/.hwt/.gpu/.mem CSVs are
 // rendered from that file when the job ends, beside its report (.log).
+// -logdir needs the monitor, so zsrun refuses it together with -no-monitor.
 package main
 
 import (
@@ -74,6 +75,10 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/obs and /debug/pprof on this address while the job runs")
 	)
 	flag.Parse()
+	if *noMon && *logdir != "" {
+		// Without the monitor no rank has samples or a report to log.
+		fatal(fmt.Errorf("-logdir needs the monitor: it cannot be combined with -no-monitor"))
+	}
 
 	if *scenarioName != "" {
 		// Scenario fleets run many jobs back to back, so the node preset

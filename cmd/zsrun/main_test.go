@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -63,5 +64,28 @@ func TestLogdirGolden(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "zerosum."+rank+".zsbp")); err != nil {
 			t.Errorf("frame log: %v", err)
 		}
+	}
+}
+
+// TestNoMonitorLogdirRejected: -no-monitor leaves every rank without
+// samples, so -logdir could write nothing; the pair is refused up front
+// with both flags named, not reported as logs written.
+func TestNoMonitorLogdirRejected(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "logs")
+	cmd := exec.Command(exe, "-no-monitor", "-logdir", dir, "-n", "2", "-c", "4", "-steps", "5")
+	cmd.Env = append(os.Environ(), "ZSRUN_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("zsrun -no-monitor -logdir exited 0:\n%s", out)
+	}
+	if !strings.Contains(string(out), "-no-monitor") || !strings.Contains(string(out), "-logdir") {
+		t.Errorf("error does not name both flags:\n%s", out)
+	}
+	if strings.Contains(string(out), "logs written") {
+		t.Errorf("claims logs were written:\n%s", out)
 	}
 }

@@ -16,12 +16,6 @@ type bitWriter struct {
 	free uint8 // writable low bits remaining in buf's final byte (0 = none)
 }
 
-// reset drops the written stream but keeps the buffer capacity.
-func (w *bitWriter) reset() {
-	w.buf = w.buf[:0]
-	w.free = 0
-}
-
 // bytes returns the packed stream; unused trailing bits are zero.
 func (w *bitWriter) bytes() []byte { return w.buf }
 

@@ -443,14 +443,14 @@ func TestIterErrIsSticky(t *testing.T) {
 	}
 }
 
-// TestSealRollupsMatchReference feeds a chunk in-order samples with
-// stragglers mixed in, seals it, and checks the insertion-built rollups a
-// dump carries (rollupsOf) against the map-and-sort reference.
+// TestSealRollupsMatchReference feeds a head in-order samples with
+// stragglers mixed in and checks the insertion-built rollups a dump carries
+// for the chunk (rollupsOf) against the map-and-sort reference.
 func TestSealRollupsMatchReference(t *testing.T) {
 	const ds = int64(5e9)
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 50; round++ {
-		c := newChunk(0)
+		var h head
 		var pts []Point
 		for i := 0; i < 120; i++ {
 			ts := int64(i) * 1e9
@@ -459,9 +459,9 @@ func TestSealRollupsMatchReference(t *testing.T) {
 			}
 			p := Point{T: ts, V: rng.NormFloat64()}
 			pts = append(pts, p)
-			c.append(p.T, p.V)
+			h.append(p.T, p.V)
 		}
-		c.seal()
+		c := h.view()
 		got := c.rollupsOf(ds)
 		want := bucketize(ds, pts)
 		if len(got) != len(want) {

@@ -104,9 +104,9 @@ func (st *Store) MarshalJob(job string) ([]byte, error) {
 
 // snapshotBlocks captures the job's chunk inventory as a BlockSet under the
 // shard locks. Sealed chunk data is immutable and shared, and its rollups
-// are computed here, on Options.Downsample buckets; head chunks carry no
-// rollups, and their bitstreams are cloned while locked because appends
-// keep mutating them.
+// are computed here, on Options.Downsample buckets; heads carry no rollups,
+// and their bitstreams are cloned while locked because appends keep
+// mutating them.
 func (st *Store) snapshotBlocks(job string) (*BlockSet, error) {
 	db := st.lookupJob(job)
 	if db == nil {
@@ -118,19 +118,14 @@ func (st *Store) snapshotBlocks(job string) (*BlockSet, error) {
 	db.eachShard(func(sh *seriesShard) {
 		for key, s := range sh.series {
 			fs := BlockSeries{Key: key}
-			s.chunks(func(c *chunk) {
-				if c.count == 0 {
-					return
-				}
-				fc := BlockChunk{Part: c.part, TMin: c.tMin, TMax: c.tMax,
-					Count: c.count, Data: c.w.bytes()}
-				if c.sealed {
-					fc.Rollups = c.rollupsOf(ds)
-				} else {
-					fc.Data = append([]byte(nil), fc.Data...)
-				}
-				fs.Chunks = append(fs.Chunks, fc)
-			})
+			for _, c := range s.sealed {
+				fs.Chunks = append(fs.Chunks, BlockChunk{Part: c.part, TMin: c.tMin, TMax: c.tMax,
+					Count: c.count, Rollups: c.rollupsOf(ds), Data: c.data})
+			}
+			if h := &s.head; h.count > 0 {
+				fs.Chunks = append(fs.Chunks, BlockChunk{Part: h.part, TMin: h.tMin, TMax: h.tMax,
+					Count: h.count, Data: append([]byte(nil), h.w.buf...)})
+			}
 			if len(fs.Chunks) > 0 {
 				bs.Series = append(bs.Series, fs)
 			}
@@ -164,7 +159,7 @@ func (c *chunk) rollupsOf(ds int64) []Rollup {
 	}
 	rollups := make([]Rollup, 0, n)
 	var it gIter
-	it.init(c.w.bytes(), c.count)
+	it.init(c.data, c.count)
 	for it.Next() {
 		t, v := it.At()
 		bucket := floorDiv(t, ds) * ds

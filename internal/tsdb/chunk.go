@@ -1,39 +1,15 @@
 package tsdb
 
-// chunk is one compressed run of a series. While it is the series' head it
-// owns live codec state and accepts appends; seal() freezes it — after
-// that the data is immutable and safe to read without the owning shard
-// lock. A sealed chunk keeps only its bitstream: queries decode it.
+// chunk is one compressed run of a series: bounds, sample count and Gorilla
+// bitstream. Sealed chunks live by value in Series.sealed, which retention
+// compacts in place, so no pointer to one may leave the shard lock; their
+// data is an exact-size copy made at seal, never mutated, and may be shared.
+// The head is read through a view whose data aliases its live buffer.
 type chunk struct {
-	part   int64 // block this chunk belongs to: floorDiv(first t, block)*block
-	w      bitWriter
-	st     gState
-	count  int
-	tMin   int64
-	tMax   int64
-	sealed bool
-}
-
-// newChunk opens a head chunk for the block containing t.
-func newChunk(part int64) *chunk {
-	c := &chunk{part: part}
-	c.st.init()
-	return c
-}
-
-// append encodes one sample. Caller (the series) holds the shard lock and
-// has already decided this chunk stays open.
-//
-//zerosum:hotpath
-func (c *chunk) append(t int64, v float64) {
-	c.st.appendSample(&c.w, c.count, t, v)
-	if c.count == 0 || t < c.tMin {
-		c.tMin = t
-	}
-	if c.count == 0 || t > c.tMax {
-		c.tMax = t
-	}
-	c.count++
+	part       int64 // block this chunk belongs to: floorDiv(first t, block)*block
+	tMin, tMax int64
+	count      int
+	data       []byte
 }
 
 // overlaps reports whether any sample of the chunk can fall in [start, end).
@@ -41,9 +17,32 @@ func (c *chunk) overlaps(start, end int64) bool {
 	return c.count > 0 && c.tMin < end && c.tMax >= start
 }
 
-// bytes is the chunk's current encoded size.
-func (c *chunk) bytes() int { return len(c.w.buf) }
+// head is a series' open chunk, inline in Series: bounds plus the live codec
+// state appends encode against. count == 0 means the series has none open.
+type head struct {
+	part, tMin, tMax int64
+	count            int
+	w                bitWriter
+	st               gState
+}
 
-// seal freezes the chunk. It runs when a series crosses a block boundary
-// or the chunk fills, never on the steady append path.
-func (c *chunk) seal() { c.sealed = true }
+// append encodes one sample. Caller (the series) holds the shard lock and
+// has already decided this chunk stays open.
+//
+//zerosum:hotpath
+func (h *head) append(t int64, v float64) {
+	h.st.appendSample(&h.w, h.count, t, v)
+	if h.count == 0 || t < h.tMin {
+		h.tMin = t
+	}
+	if h.count == 0 || t > h.tMax {
+		h.tMax = t
+	}
+	h.count++
+}
+
+// view is the head as a chunk. Its data aliases the buffer appends keep
+// writing, so it is valid only under the shard lock.
+func (h *head) view() chunk {
+	return chunk{part: h.part, tMin: h.tMin, tMax: h.tMax, count: h.count, data: h.w.bytes()}
+}

@@ -31,8 +31,8 @@ func scanQuery(st *Store, job string, opts QueryOpts) []SeriesResult {
 				continue
 			}
 			var in []Point
-			s.chunks(func(c *chunk) {
-				pts, err := decodeAll(c.w.bytes(), c.count)
+			s.chunks(func(c chunk) {
+				pts, err := decodeAll(c.data, c.count)
 				if err != nil {
 					panic(err)
 				}

@@ -221,7 +221,7 @@ func (ev *evaluator) evalShard(sh *seriesShard, out []SeriesResult) []SeriesResu
 }
 
 // evalSeries answers the query for one series. The caller holds the shard
-// lock, so the head chunk is stable; sealed chunks are immutable anyway.
+// lock, so the head and the sealed list are stable.
 //
 //zerosum:hotpath
 func (ev *evaluator) evalSeries(s *Series) []Point {
@@ -229,12 +229,7 @@ func (ev *evaluator) evalSeries(s *Series) []Point {
 		return evalRaw(s, ev.opts)
 	}
 	clear(ev.buckets)
-	for _, c := range s.sealed {
-		ev.foldChunk(c)
-	}
-	if s.head != nil {
-		ev.foldChunk(s.head)
-	}
+	s.chunks(ev.foldChunk)
 	n := 0
 	for i := range ev.buckets {
 		if ev.buckets[i].count > 0 {
@@ -256,13 +251,13 @@ func (ev *evaluator) evalSeries(s *Series) []Point {
 // foldChunk adds the chunk's samples inside the window to the step buckets.
 //
 //zerosum:hotpath
-func (ev *evaluator) foldChunk(c *chunk) {
+func (ev *evaluator) foldChunk(c chunk) {
 	start, end, step := ev.opts.Start, ev.opts.End, ev.opts.Step
 	if !c.overlaps(start, end) {
 		return
 	}
 	var it gIter
-	it.init(c.w.bytes(), c.count)
+	it.init(c.data, c.count)
 	for it.Next() {
 		t, v := it.At()
 		if t < start || t >= end {
@@ -275,12 +270,12 @@ func (ev *evaluator) foldChunk(c *chunk) {
 func evalRaw(s *Series, opts QueryOpts) []Point {
 	var pts []Point
 	sorted := true
-	s.chunks(func(c *chunk) {
+	s.chunks(func(c chunk) {
 		if !c.overlaps(opts.Start, opts.End) {
 			return
 		}
 		var it gIter
-		it.init(c.w.bytes(), c.count)
+		it.init(c.data, c.count)
 		for it.Next() {
 			t, v := it.At()
 			if t < opts.Start || t >= opts.End {

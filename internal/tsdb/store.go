@@ -224,8 +224,8 @@ func (a *BatchAppender) End() {
 
 // EnforceRetention sweeps every series of every job against the retention
 // horizon. Appending already retains at each block boundary; this exists
-// for series that stopped receiving samples (a dead rank's history still
-// ages out) and is what a daemon calls on a housekeeping tick.
+// for series that stopped receiving samples (a dead rank's history, head
+// included, still ages out) and is what a daemon calls on a housekeeping tick.
 func (st *Store) EnforceRetention() {
 	if st.opts.Retention <= 0 {
 		return

@@ -1,6 +1,9 @@
 package tsdb
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -96,8 +99,8 @@ func TestStoreRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The dead series' sealed chunk (block 0) predates the horizon; only
-	// its head (block 1, unsealed) can linger.
+	// The dead series' sealed chunk (block 0) and its head (block 1) both
+	// predate the horizon (TestEnforceRetentionEvictsDeadHead counts them).
 	if len(res) == 1 {
 		for _, p := range res[0].Points {
 			if p.T < 60e9 {
@@ -105,6 +108,115 @@ func TestStoreRetention(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStoreLayoutGolden pins what a seeded append script leaves in the
+// store: its accounting and the bytes of its ZSTB dump. The script walks
+// every path that seals a head: block crossings, a chunk that fills at
+// maxChunkSamples inside one block, a straggler older than its head's
+// block, and a head that is already past the retention cutoff when a late
+// sample seals it. A change to how series hold their chunks must leave
+// every pinned value as it is.
+func TestStoreLayoutGolden(t *testing.T) {
+	st := NewStore(Options{Block: 10 * time.Second, Downsample: 2 * time.Second, Retention: 30 * time.Second})
+	rng := rand.New(rand.NewSource(48))
+	var keys []SeriesKey
+	for _, node := range []string{"n0", "n1"} {
+		for rank := 0; rank < 3; rank++ {
+			for _, metric := range []string{"lwp.user_pct", "mem.rss_kb"} {
+				keys = append(keys, SeriesKey{Node: node, Rank: rank, TID: 100 + rank, Metric: metric})
+			}
+		}
+	}
+	vals := make([]float64, len(keys))
+	step := func(i int) float64 {
+		vals[i] += float64(rng.Intn(7)-3) + rng.Float64()/8
+		return vals[i]
+	}
+	// keys[0] goes quiet at 15 s with its head in block [10 s, 20 s).
+	for sec := 0; sec < 100; sec++ {
+		for i, k := range keys {
+			if i == 0 && sec > 15 {
+				continue
+			}
+			st.Append("job", k, int64(sec)*1e9+rng.Int63n(2e6), step(i))
+		}
+		if sec%7 == 3 && sec > 10 {
+			i := 1 + rng.Intn(len(keys)-1)
+			st.Append("job", keys[i], int64(sec-10)*1e9+rng.Int63n(1e9), step(i))
+		}
+	}
+	// keys[1] floods block [100 s, 110 s): its chunk fills and seals early.
+	for j := 0; j < 20000; j++ {
+		st.Append("job", keys[1], 100e9+int64(j)*400e3, step(1))
+	}
+	// keys[0] wakes at 109 s: its head (newest sample at 15 s) seals while
+	// already past the cutoff.
+	st.Append("job", keys[0], 109e9, step(0))
+	for sec := 110; sec < 125; sec++ {
+		for i, k := range keys {
+			st.Append("job", k, int64(sec)*1e9+rng.Int63n(2e6), step(i))
+		}
+	}
+
+	js := st.JobStats("job")
+	want := JobStats{Series: 12, SealedChunks: 26, Samples: 21309, Bytes: 147175,
+		EvictedChunks: 101, EvictedSamples: 1017, MaxTimeNanos: 124001886310}
+	if js != want {
+		t.Errorf("JobStats = %+v\nwant       %+v", js, want)
+	}
+	blob, err := st.MarshalJob("job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got, want := hex.EncodeToString(sum[:]), "114b410fbf08d417e4238f9a5657d247a3e04d074d59532d5b2d4829a3b31771"; got != want {
+		t.Errorf("MarshalJob: %d bytes, sha256 %s, want %s", len(blob), got, want)
+	}
+}
+
+// TestEnforceRetentionEvictsDeadHead: a series that stops receiving samples
+// ages out whole, its unsealed head included, once another series carries
+// the job clock past its horizon; the eviction is counted and the emptied
+// series takes samples again.
+func TestEnforceRetentionEvictsDeadHead(t *testing.T) {
+	st := NewStore(Options{Block: time.Minute, Retention: 2 * time.Minute})
+	live, dead := testKey(0, 0, "m"), testKey(1, 0, "m")
+	for i := 0; i < 30; i++ {
+		st.Append("job", dead, int64(i)*1e9, 1)
+	}
+	for i := 0; i < 600; i++ {
+		st.Append("job", live, int64(i)*1e9, 2)
+	}
+	st.EnforceRetention()
+	// The horizon is 599 s - 2 min = 479 s: the live series keeps blocks 7
+	// and 8 and its head, and loses blocks 0..6 (420 samples); the dead
+	// series' head, newest sample at 29 s, goes too.
+	js := st.JobStats("job")
+	if js.EvictedChunks != 8 || js.EvictedSamples != 450 || js.SealedChunks != 2 {
+		t.Fatalf("evicted %d chunks / %d samples with %d sealed, want 8 / 450 with 2",
+			js.EvictedChunks, js.EvictedSamples, js.SealedChunks)
+	}
+	q := QueryOpts{Metric: "m", Rank: 1, TID: -1, Start: 0, End: 700e9}
+	if res, err := st.Query("job", q); err != nil || len(res) != 0 {
+		t.Fatalf("dead series still answers: %v %v", res, err)
+	}
+	if q.Rank = 0; len(mustQuery(t, st, q)[0].Points) != 180 {
+		t.Fatal("the live series lost samples inside its horizon")
+	}
+	st.Append("job", dead, 650e9, 3)
+	if q.Rank = 1; len(mustQuery(t, st, q)[0].Points) != 1 {
+		t.Fatal("the emptied series does not take a new sample")
+	}
+}
+
+func mustQuery(t *testing.T, st *Store, q QueryOpts) []SeriesResult {
+	t.Helper()
+	res, err := st.Query("job", q)
+	if err != nil || len(res) != 1 {
+		t.Fatalf("query %+v: %d series, %v", q, len(res), err)
+	}
+	return res
 }
 
 func TestStoreRetentionDisabled(t *testing.T) {

@@ -19,8 +19,9 @@
 // writes it.
 // Each shard also lists its series by metric, so a query visits the series
 // of the one metric it names, not every series of the job.
-// Retention (Options.Retention) evicts sealed chunks whose newest sample
-// has aged out of the per-job sample clock.
+// Retention (Options.Retention) evicts chunks whose newest sample has aged
+// out of the per-job sample clock, the head of a series that stopped
+// receiving samples included.
 //
 // Time. The store's clock is the job's sample clock — nanoseconds of
 // TimeSec, the seconds-since-start stamp every exported sample carries —
@@ -60,10 +61,10 @@ type Options struct {
 	// each sealed chunk (default DefaultDownsample, clamped to at most
 	// Block). The store itself keeps no rollups; queries never read them.
 	Downsample time.Duration
-	// Retention bounds how far back of the series' newest sample sealed
-	// chunks are kept; 0 keeps everything. Eviction happens when a series
-	// seals a chunk and on EnforceRetention. Snapshots are never evicted:
-	// the end-of-run summary must survive the samples.
+	// Retention bounds how far back of the job's newest sample chunks, heads
+	// included, are kept; 0 keeps everything. Eviction happens when a
+	// series seals a chunk and on EnforceRetention. Snapshots are never
+	// evicted: the end-of-run summary must survive the samples.
 	Retention time.Duration
 }
 
