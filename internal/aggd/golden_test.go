@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -144,6 +145,41 @@ func TestTSDBGolden(t *testing.T) {
 		if string(body) != string(want) {
 			t.Errorf("%s drifted from %s:\n got: %s\nwant: %s", tc.url, path, body, want)
 		}
+	}
+}
+
+// TestTSDBHeatmapOversizeIs400: a step that keeps each row within the
+// per-query bucket bound can still ask for more cells than that bound once
+// every row of the job is counted; the endpoint refuses it as a bad request
+// instead of allocating the matrix.
+func TestTSDBHeatmapOversizeIs400(t *testing.T) {
+	srv := NewServer(ServerConfig{TSDB: tsdb.Options{Block: 10 * time.Second}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	goldenIngest(t, func(string, int) string { return ts.URL })
+
+	get := func(step string) *http.Response {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/api/job/jobG/heatmap?metric=hwt.user_pct&start=0&end=30&step=" + step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := get("1")
+	var hm TSDBHeatmapResponse
+	err := json.NewDecoder(resp.Body).Decode(&hm)
+	resp.Body.Close()
+	if err != nil || len(hm.Rows) < 2 {
+		t.Fatalf("heatmap at a 1 s step: %d rows, %v", len(hm.Rows), err)
+	}
+	// Half again the buckets per row that rows × buckets may reach: each
+	// row stays under the bound, the matrix does not.
+	step := 30 / float64(3<<20/(2*len(hm.Rows)))
+	resp = get(strconv.FormatFloat(step, 'f', -1, 64))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a %d-row heatmap at a %g s step: %s, want 400", len(hm.Rows), step, resp.Status)
 	}
 }
 

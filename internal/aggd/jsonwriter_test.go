@@ -94,6 +94,10 @@ var awkwardFloats = []float64{
 	5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
 	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
 	math.MaxInt64, math.MinInt64, 1e9, 27e9, 0.05, 0.25,
+	// The integral path's edges: its bound, both sides of it, and the
+	// largest integers below it.
+	1e15, -1e15, 1e15 - 1, -(1e15 - 1), 1e15 + 2, 999999999999999.9, -999999999999999.9,
+	1e14, 123456789012345, -7, 4.5e15, 1e16,
 }
 
 // awkwardNames need every kind of escape encoding/json knows.

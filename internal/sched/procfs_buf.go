@@ -9,8 +9,9 @@ import (
 
 // The simulator implements proc.BufFS so the monitor exercises its buffered
 // fast path against simulated kernels too — the Into methods render into
-// the caller's buffer (the render itself still allocates; the simulator is
-// a correctness rig, not a perf target) and simTaskReader mimics the
+// the caller's buffer (the render itself still allocates: fmt into a
+// strings.Builder, then a copy; ROADMAP item 1 says what must change in
+// the benchmark before it can be sped up) and simTaskReader mimics the
 // lifetime semantics of a cached /proc descriptor: opening a dead tid
 // fails, and reads start failing the moment the thread exits, which is how
 // the monitor's fd-cache invalidation is driven under chaos testing.

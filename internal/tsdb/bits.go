@@ -3,7 +3,6 @@ package tsdb
 import (
 	"encoding/binary"
 	"errors"
-	"math/bits"
 )
 
 // bitWriter packs bits most-significant-first into a byte slice. It is the
@@ -94,7 +93,8 @@ func (r *bitReader) init(buf []byte) {
 }
 
 // peek returns the next 64 bits of the stream left-aligned, zero-padded
-// past the end of the buffer, without consuming them.
+// past the end of the buffer, without consuming them. A position past the
+// end reads as zeros, so a decoder may peek ahead of its bounds check.
 //
 //zerosum:hotpath
 func (r *bitReader) peek() uint64 {
@@ -106,8 +106,8 @@ func (r *bitReader) peek() uint64 {
 	}
 	// Fewer than nine bytes left: gather the tail byte by byte.
 	var w uint64
-	for k, b := range r.buf[i:] {
-		w |= uint64(b) << (56 - 8*uint(k))
+	for k := i; k < len(r.buf); k++ {
+		w |= uint64(r.buf[k]) << (56 - 8*uint(k-i))
 	}
 	return w << sh
 }
@@ -122,24 +122,4 @@ func (r *bitReader) readBits(n uint) (uint64, error) {
 	v := r.peek() >> (64 - n)
 	r.pos += int(n)
 	return v, nil
-}
-
-// readUnary reads the codec's selector prefix: a run of up to max 1-bits
-// closed by a 0-bit, which is omitted when the run reaches max. It returns
-// the length of the run.
-//
-//zerosum:hotpath
-func (r *bitReader) readUnary(max int) (int, error) {
-	ones := bits.LeadingZeros64(^r.peek())
-	n := ones + 1
-	if ones >= max {
-		ones, n = max, max
-	}
-	// peek pads with zeros, so a run cut off by the end of the buffer looks
-	// closed; the length check catches it.
-	if r.pos+n > len(r.buf)*8 {
-		return 0, errShortChunk
-	}
-	r.pos += n
-	return ones, nil
 }

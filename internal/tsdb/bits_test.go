@@ -288,12 +288,14 @@ func TestBitReaderMatchesReference(t *testing.T) {
 	}
 }
 
-func TestReadUnaryMatchesReference(t *testing.T) {
+// TestDecoderMatchesReferenceOnOneRuns feeds both decoders streams biased
+// toward long runs of 1-bits, including all-ones tails where only the end
+// of the buffer closes a selector: the case the one-peek decoder reads as
+// zero padding and must still reject where the reference runs out of bits.
+func TestDecoderMatchesReferenceOnOneRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 400; round++ {
-		// Streams biased toward long runs of ones, including all-ones tails
-		// where only the end of the buffer closes the run.
-		buf := make([]byte, rng.Intn(24))
+	for round := 0; round < 4000; round++ {
+		buf := make([]byte, rng.Intn(48))
 		for i := range buf {
 			switch rng.Intn(3) {
 			case 0:
@@ -304,32 +306,12 @@ func TestReadUnaryMatchesReference(t *testing.T) {
 				buf[i] = byte(0xff << uint(rng.Intn(8)))
 			}
 		}
-		var r bitReader
-		r.init(buf)
-		rr := refBitReader{buf: buf}
-		for step := 0; ; step++ {
-			var err, refErr error
-			var got, want uint64
-			if max := []int{0, 2, 4}[rng.Intn(3)]; max > 0 {
-				var g, w int
-				g, err = r.readUnary(max)
-				w, refErr = rr.readUnary(max)
-				got, want = uint64(g), uint64(w)
-			} else {
-				n := uint(1 + rng.Intn(64))
-				got, err = r.readBits(n)
-				want, refErr = rr.readBits(n)
-			}
-			if err != refErr || got != want {
-				t.Fatalf("round %d step %d: got %d, %v; reference %d, %v (stream %x)",
-					round, step, got, err, want, refErr, buf)
-			}
-			if err != nil {
-				break
-			}
-			if r.pos != rr.pos() {
-				t.Fatalf("round %d step %d: consumed to bit %d, reference to bit %d", round, step, r.pos, rr.pos())
-			}
+		count := 1 + rng.Intn(20)
+		got, err := decodeAll(buf, count)
+		want, refErr := refDecode(buf, count)
+		if err != refErr || !samePoints(got, want) {
+			t.Fatalf("round %d stream %x count=%d: decoded %d samples, %v; reference %d samples, %v",
+				round, buf, count, len(got), err, len(want), refErr)
 		}
 	}
 }

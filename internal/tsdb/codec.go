@@ -161,55 +161,57 @@ func (it *gIter) Next() bool {
 // the zigzagged dod that follows ('0' carries none).
 var dodWidths = [...]uint{0, 14, 24, 40, 64}
 
+// next decodes one sample after the first. One peek holds the timestamp
+// selector, any dod but a 64-bit one, the value's control bits and a new
+// window's header; only a 64-bit dod and the value's window peek again.
+// peek reads zeros past the end of the buffer, so the sample is checked
+// against the end once, after it is decoded.
+//
 //zerosum:hotpath
 func (it *gIter) next() error {
-	// Timestamp: unary bucket selector, then the zigzagged dod.
-	sel, err := it.r.readUnary(4)
-	if err != nil {
-		return err
-	}
+	r := &it.r
+	w := r.peek()
+	// Timestamp: a run of up to four 1-bits closed by a 0-bit (omitted
+	// after four) selects the width of the zigzagged dod.
+	var n uint // bits of w consumed
 	var dod int64
-	if sel > 0 {
-		zz, err := it.r.readBits(dodWidths[sel])
-		if err != nil {
-			return err
-		}
-		dod = unzigzag(zz)
+	switch sel := bits.LeadingZeros64(^w); {
+	case sel == 0:
+		n = 1
+	case sel < 4:
+		n = uint(sel) + 1 + dodWidths[sel]
+		dod = unzigzag(w << (sel + 1) >> (64 - dodWidths[sel]))
+	default:
+		r.pos += 4
+		dod = unzigzag(r.peek())
+		r.pos += 64
+		w = r.peek()
 	}
 	it.st.tDelta += dod
 	it.st.t += it.st.tDelta
 
 	// Value: '0' same, '10' prior window, '11' new window.
-	ctl, err := it.r.readUnary(2)
-	if err != nil {
-		return err
-	}
-	switch ctl {
-	case 0:
-		return nil
-	case 1:
-		if it.st.leading == noWindow {
+	if w <<= n; w>>63 == 0 {
+		n++
+	} else {
+		if w>>62 == 0b11 {
+			// 5 bits of leading-zero count, then 6 bits of window length - 1.
+			lead, sig := uint8(w>>57&31), uint8(w>>51&63)+1
+			if lead+sig > 64 {
+				return errShortChunk // impossible window: corrupt stream
+			}
+			it.st.leading, it.st.trailing = lead, 64-lead-sig
+			n += 11
+		} else if it.st.leading == noWindow {
 			return errShortChunk // window reuse before any window was declared
 		}
-	default:
-		// 5 bits of leading-zero count, then 6 bits of window length - 1.
-		hdr, err := it.r.readBits(11)
-		if err != nil {
-			return err
-		}
-		lead, sig := uint8(hdr>>6), uint8(hdr&63)+1
-		if lead+sig > 64 {
-			return errShortChunk // impossible window: corrupt stream
-		}
-		it.st.leading = lead
-		it.st.trailing = 64 - lead - sig
+		r.pos += int(n) + 2
+		n = 64 - uint(it.st.leading) - uint(it.st.trailing)
+		it.st.vBits ^= r.peek() >> (64 - n) << it.st.trailing
 	}
-	sig := uint(64 - it.st.leading - it.st.trailing)
-	xor, err := it.r.readBits(sig)
-	if err != nil {
-		return err
+	if r.pos += int(n); r.pos > len(r.buf)*8 {
+		return errShortChunk
 	}
-	it.st.vBits ^= xor << it.st.trailing
 	return nil
 }
 

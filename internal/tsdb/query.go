@@ -1,8 +1,10 @@
 package tsdb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -120,14 +122,37 @@ func (st *Store) Query(job string, opts QueryOpts) ([]SeriesResult, error) {
 	ev := evaluator{opts: opts, buckets: make([]bucketAcc, nBuckets)}
 	var out []SeriesResult
 	if opts.Node != "" && opts.Rank >= 0 {
-		out = ev.evalShard(db.shardForOrigin(opts.Node, opts.Rank), out)
-	} else {
-		for i := range db.shards {
-			out = ev.evalShard(&db.shards[i], out)
-		}
+		return ev.evalShard(db.shardForOrigin(opts.Node, opts.Rank), out), nil
 	}
-	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key, out[j].Key) })
-	return out, nil
+	var ends [nSeriesShards]int
+	for i := range db.shards {
+		out = ev.evalShard(&db.shards[i], out)
+		ends[i] = len(out)
+	}
+	return mergeByKey(out, ends[:]), nil
+}
+
+// mergeByKey lays out, in key order, results that arrive as one key-ordered
+// run per shard (each shard's index is kept in key order), ends[r] closing
+// run r. The heads of two runs almost always differ in rank, which is the
+// first thing keyLess compares.
+func mergeByKey(out []SeriesResult, ends []int) []SeriesResult {
+	merged := make([]SeriesResult, 0, len(out))
+	var next [nSeriesShards]int
+	for r := 1; r < len(ends); r++ {
+		next[r] = ends[r-1]
+	}
+	for len(merged) < len(out) {
+		best := -1
+		for r, end := range ends {
+			if next[r] < end && (best < 0 || keyLess(out[next[r]].Key, out[next[best]].Key)) {
+				best = r
+			}
+		}
+		merged = append(merged, out[next[best]])
+		next[best]++
+	}
+	return merged
 }
 
 func keyLess(a, b SeriesKey) bool {
@@ -200,7 +225,9 @@ func (b *bucketAcc) value(agg AggKind) float64 {
 // across every series it visits.
 type evaluator struct {
 	opts    QueryOpts
-	buckets []bucketAcc // one per step bucket; cleared per series
+	buckets []bucketAcc // one per step bucket; zero but for those in touched
+	touched []int       // the buckets the current series filled
+	raw     []Point     // a raw query's points for the current series
 }
 
 // evalShard appends the shard's matching series to out. It holds the
@@ -220,78 +247,97 @@ func (ev *evaluator) evalShard(sh *seriesShard, out []SeriesResult) []SeriesResu
 	return out
 }
 
-// evalSeries answers the query for one series. The caller holds the shard
-// lock, so the head and the sealed list are stable.
+// evalSeries answers the query for one series: the sealed chunks the window
+// overlaps, then the head. The caller holds the shard lock, so the head and
+// the sealed list are stable and the read cursor is the caller's to move.
 //
 //zerosum:hotpath
 func (ev *evaluator) evalSeries(s *Series) []Point {
-	if ev.opts.Step == 0 {
-		return evalRaw(s, ev.opts)
-	}
-	clear(ev.buckets)
-	s.chunks(ev.foldChunk)
-	n := 0
-	for i := range ev.buckets {
-		if ev.buckets[i].count > 0 {
-			n++
+	start, end := ev.opts.Start, ev.opts.End
+	for _, c := range s.sealed {
+		if c.overlaps(start, end) {
+			var it gIter
+			it.init(c.data, c.count)
+			ev.fold(&it, nil)
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	pts := make([]Point, 0, n)
-	for i := range ev.buckets {
-		if b := &ev.buckets[i]; b.count > 0 {
-			pts = append(pts, Point{T: ev.opts.Start + int64(i)*ev.opts.Step, V: b.value(ev.opts.Agg)})
+	if h := s.head.view(); h.overlaps(start, end) {
+		// Start where an earlier query left the cursor if every sample it
+		// passed is before this window, and leave the cursor before the
+		// first sample at or after this window's start if that is further.
+		var it gIter
+		it.init(h.data, h.count)
+		mark := readCursor{before: minInt64}
+		if rc := s.rc; rc != nil && rc.before <= start {
+			mark = *rc
+			it.r.pos, it.st, it.i = rc.pos, rc.st, rc.i
+		}
+		ev.fold(&it, &mark)
+		if mark.i > 0 && (s.rc == nil || mark.i > s.rc.i) {
+			if s.rc == nil {
+				s.rc = new(readCursor)
+			}
+			*s.rc = mark
 		}
 	}
-	return pts
+	return ev.points()
 }
 
-// foldChunk adds the chunk's samples inside the window to the step buckets.
+// fold adds the iterator's samples inside the window to the current
+// series' answer. With a mark, it also records in it the decoder's state
+// after each sample up to the first at or after the window's start.
 //
 //zerosum:hotpath
-func (ev *evaluator) foldChunk(c chunk) {
+func (ev *evaluator) fold(it *gIter, mark *readCursor) {
 	start, end, step := ev.opts.Start, ev.opts.End, ev.opts.Step
-	if !c.overlaps(start, end) {
-		return
-	}
-	var it gIter
-	it.init(c.data, c.count)
 	for it.Next() {
 		t, v := it.At()
-		if t < start || t >= end {
+		if t < start {
+			if mark != nil {
+				*mark = readCursor{pos: it.r.pos, st: it.st, i: it.i, before: max(mark.before, t+1)}
+			}
 			continue
 		}
-		ev.buckets[(t-start)/step].addSample(t, v)
+		mark = nil
+		switch {
+		case t >= end:
+		case step == 0:
+			ev.raw = append(ev.raw, Point{T: t, V: v})
+		default:
+			i := int((t - start) / step)
+			if ev.buckets[i].count == 0 {
+				ev.touched = append(ev.touched, i)
+			}
+			ev.buckets[i].addSample(t, v)
+		}
 	}
 }
 
-func evalRaw(s *Series, opts QueryOpts) []Point {
-	var pts []Point
-	sorted := true
-	s.chunks(func(c chunk) {
-		if !c.overlaps(opts.Start, opts.End) {
-			return
+// points takes the current series' answer out of the scratch, which it
+// leaves zeroed for the next series at a cost of the buckets touched.
+func (ev *evaluator) points() []Point {
+	if ev.opts.Step == 0 {
+		pts := ev.raw
+		ev.raw = nil
+		if !slices.IsSortedFunc(pts, cmpPointT) {
+			slices.SortStableFunc(pts, cmpPointT)
 		}
-		var it gIter
-		it.init(c.data, c.count)
-		for it.Next() {
-			t, v := it.At()
-			if t < opts.Start || t >= opts.End {
-				continue
-			}
-			if len(pts) > 0 && t < pts[len(pts)-1].T {
-				sorted = false
-			}
-			pts = append(pts, Point{T: t, V: v})
-		}
-	})
-	if !sorted {
-		sort.Slice(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
+		return pts
 	}
+	if len(ev.touched) == 0 {
+		return nil
+	}
+	slices.Sort(ev.touched) // a straggler fills an earlier bucket late
+	pts := make([]Point, len(ev.touched))
+	for k, i := range ev.touched {
+		pts[k] = Point{T: ev.opts.Start + int64(i)*ev.opts.Step, V: ev.buckets[i].value(ev.opts.Agg)}
+		ev.buckets[i] = bucketAcc{}
+	}
+	ev.touched = ev.touched[:0]
 	return pts
 }
+
+func cmpPointT(a, b Point) int { return cmp.Compare(a.T, b.T) }
 
 // HeatmapResult is a (series × step-bucket) matrix slice of one metric:
 // Figure 6/7's utilization-over-time view across an allocation. Values
@@ -313,6 +359,10 @@ func (st *Store) Heatmap(job string, opts QueryOpts) (*HeatmapResult, error) {
 	series, err := st.Query(job, opts)
 	if err != nil {
 		return nil, err
+	}
+	if cells := int64(len(series)) * nBuckets; cells > maxQueryBuckets {
+		return nil, fmt.Errorf("tsdb: heatmap of %d rows × %d buckets exceeds %d cells (widen the step or narrow the selector)",
+			len(series), nBuckets, maxQueryBuckets)
 	}
 	hm := &HeatmapResult{Buckets: nBuckets}
 	for _, sr := range series {

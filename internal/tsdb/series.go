@@ -4,12 +4,15 @@ package tsdb
 // inline, plus the sealed chunks behind it, held by value. All mutation
 // happens under the owning shard's lock in the Store; the methods here do
 // no locking of their own, which is what lets the hot append path stay
-// lock- and allocation-free.
+// lock- and allocation-free. Queries take that same exclusive lock, and
+// the first one that skips part of the head allocates rc, which later
+// queries move forward; a series nobody reads has none.
 type Series struct {
 	Key SeriesKey
 
 	head   head
 	sealed []chunk
+	rc     *readCursor // how far queries have proven the head lies before their windows
 }
 
 // evicted reports what retention dropped in one append.
@@ -42,18 +45,18 @@ func (s *Series) append(t int64, v float64, block, cutoff int64) evicted {
 
 // seal closes the head at a block crossing or a full chunk. Retention runs
 // first, so a head that has itself aged out is evicted, not sealed; else
-// it joins the sealed chunks as an exact-size copy of its bits. The next
-// head's buffer starts at that size, about what a stationary series needs.
+// it joins the sealed chunks as an exact-size copy of its bits. The head
+// keeps its buffer, emptied, so a seal allocates once.
 //
 //zerosum:coldpath
 func (s *Series) seal(cutoff int64) evicted {
-	n := len(s.head.w.buf)
 	ev := s.retain(cutoff)
 	if c := s.head.view(); c.count > 0 {
-		c.data = append(make([]byte, 0, n), c.data...)
+		c.data = append(make([]byte, 0, len(c.data)), c.data...)
 		s.sealed = append(s.sealed, c)
 	}
-	s.head = head{w: bitWriter{buf: make([]byte, 0, n)}}
+	s.head = head{w: bitWriter{buf: s.head.w.buf[:0]}}
+	s.rc = nil
 	return ev
 }
 
@@ -83,6 +86,7 @@ func (s *Series) retain(cutoff int64) evicted {
 		ev.chunks++
 		ev.samples += h.count
 		*h = head{}
+		s.rc = nil
 	}
 	return ev
 }

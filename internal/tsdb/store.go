@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,9 +38,10 @@ type jobDB struct {
 type seriesShard struct {
 	mu     sync.Mutex
 	series map[SeriesKey]*Series //zerosum:guardedby mu
-	// byMetric lists the same series under their metric name, in creation
+	// byMetric lists the same series under their metric name, in key
 	// order: the read path's index, so a query visits the series of the
-	// metric it asks for and none of the shard's others.
+	// metric it asks for and none of the shard's others, and gets them
+	// already ordered.
 	byMetric map[string][]*Series //zerosum:guardedby mu
 }
 
@@ -176,8 +178,10 @@ func (a *BatchAppender) Resolve(key SeriesKey) *Series {
 			a.sh.series = make(map[SeriesKey]*Series)  //zerosum:nolock BeginBatch acquired the shard lock
 			a.sh.byMetric = make(map[string][]*Series) //zerosum:nolock BeginBatch acquired the shard lock
 		}
-		a.sh.series[key] = s                                             //zerosum:nolock BeginBatch acquired the shard lock
-		a.sh.byMetric[key.Metric] = append(a.sh.byMetric[key.Metric], s) //zerosum:nolock BeginBatch acquired the shard lock
+		a.sh.series[key] = s              //zerosum:nolock BeginBatch acquired the shard lock
+		list := a.sh.byMetric[key.Metric] //zerosum:nolock BeginBatch acquired the shard lock
+		at := sort.Search(len(list), func(i int) bool { return keyLess(key, list[i].Key) })
+		a.sh.byMetric[key.Metric] = slices.Insert(list, at, s) //zerosum:nolock BeginBatch acquired the shard lock
 	}
 	return s
 }
