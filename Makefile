@@ -74,11 +74,13 @@ fuzz:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzObsSpanDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tsdb -run '^$$' -fuzz FuzzTSDBBlockDecode -fuzztime $(FUZZTIME)
 
-# corpus-update regenerates both wire fuzz targets' checked-in seed corpora
-# (internal/aggd/testdata/fuzz/) from their generators, after a deliberate
-# wire-format change; TestRollupFuzzSeedCorpus fails until it is run.
+# corpus-update regenerates the wire fuzz targets' checked-in seed corpora
+# (internal/aggd/testdata/fuzz/ and internal/tsdb/testdata/fuzz/) from their
+# generators, after a deliberate wire-format change; TestRollupFuzzSeedCorpus
+# and the tsdb TestFuzzSeedCorpus fail until it is run.
 corpus-update:
 	$(GO) test ./internal/aggd -run SeedCorpus -update
+	$(GO) test ./internal/tsdb -run '^TestFuzzSeedCorpus$$' -update
 
 # bench-correct runs every benchmark workload once, briefly, and fails unless
 # its result line (the last one printed) reports "correct":true with

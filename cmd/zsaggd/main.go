@@ -16,29 +16,25 @@
 //	GET /api/job/<id>/tsdb       compressed block-set dump (ZSTB blob)
 //
 // Every admitted sample also lands in an embedded Gorilla-compressed
-// time-series store (see docs/tsdb.md); -block, -downsample and -retention
-// tune it.
+// time-series store (see docs/tsdb.md); -block and -retention tune it.
 //
 // Daemons compose into an aggregation tree (docs/aggregation.md): a leaf
 // started with -leaf -upstream is a relay that forwards everything it
 // admits to its parent as rollup frames and stores nothing, agents spread
 // over the leaf tier by consistent hash, and the root alone stores and
 // answers the job-wide queries, exactly as a flat deployment would. A leaf
-// serves ingest, /healthz, /metrics, /api/jobs and /debug/obs. -peers
-// publishes the sibling list at GET /api/peers so launchers can discover
-// the failover set; -restore warms a fresh root's TSDB from ZSTB dumps.
+// serves ingest, /healthz, /metrics, /api/jobs and /debug/obs. -restore
+// warms a fresh root's TSDB from ZSTB dumps.
 //
 // Usage:
 //
-//	zsaggd [-addr :9100] [-nvctx-per-sec N] [-retention 0] [-block 1m]
-//	       [-downsample 5s] [-v]
+//	zsaggd [-addr :9100] [-nvctx-per-sec N] [-retention 0] [-block 1m] [-v]
 //	       [-leaf -upstream http://root:9100 [-leaf-id name]]
-//	       [-peers url1,url2,...] [-restore dump1.zstb,...]
+//	       [-restore dump1.zstb,...]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -58,18 +54,16 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":9100", "listen address")
-		nvctx      = flag.Float64("nvctx-per-sec", 0, "contention threshold folded into job summaries (0 = default)")
-		verbose    = flag.Bool("v", false, "log every request")
-		pprofSrv   = flag.Bool("pprof", false, "also serve /debug/pprof profiling endpoints")
-		block      = flag.Duration("block", tsdb.DefaultBlock, "TSDB block width: head chunks seal on this sample-clock boundary (root only)")
-		downsample = flag.Duration("downsample", tsdb.DefaultDownsample, "TSDB rollup bucket width in the /tsdb dump's sealed chunks (root only)")
-		retention  = flag.Duration("retention", 0, "drop sealed TSDB chunks older than this behind each job's newest sample, 0 = keep everything (root only)")
-		leaf       = flag.Bool("leaf", false, "run as a leaf aggregator: forward admitted data upstream as rollup frames (requires -upstream)")
-		upstream   = flag.String("upstream", "", "parent aggregator base URL for leaf mode (implies -leaf)")
-		leafID     = flag.String("leaf-id", "", "leaf identity stamped on rollup frames (default: the listen address)")
-		peers      = flag.String("peers", "", "comma-separated sibling leaf URLs served at GET /api/peers for agent failover discovery")
-		restore    = flag.String("restore", "", "comma-separated ZSTB dump files imported into the TSDB at startup (root only)")
+		addr      = flag.String("addr", ":9100", "listen address")
+		nvctx     = flag.Float64("nvctx-per-sec", 0, "contention threshold folded into job summaries (0 = default)")
+		verbose   = flag.Bool("v", false, "log every request")
+		pprofSrv  = flag.Bool("pprof", false, "also serve /debug/pprof profiling endpoints")
+		block     = flag.Duration("block", tsdb.DefaultBlock, "TSDB block width: head chunks seal on this sample-clock boundary (root only)")
+		retention = flag.Duration("retention", 0, "drop sealed TSDB chunks older than this behind each job's newest sample, 0 = keep everything (root only)")
+		leaf      = flag.Bool("leaf", false, "run as a leaf aggregator: forward admitted data upstream as rollup frames (requires -upstream)")
+		upstream  = flag.String("upstream", "", "parent aggregator base URL for leaf mode (implies -leaf)")
+		leafID    = flag.String("leaf-id", "", "leaf identity stamped on rollup frames (default: the listen address)")
+		restore   = flag.String("restore", "", "comma-separated ZSTB dump files imported into the TSDB at startup (root only)")
 	)
 	flag.Parse()
 
@@ -84,9 +78,8 @@ func main() {
 	cfg := aggd.ServerConfig{
 		Thresholds: core.EvalThresholds{NVCtxPerSec: *nvctx},
 		TSDB: tsdb.Options{
-			Block:      *block,
-			Downsample: *downsample,
-			Retention:  *retention,
+			Block:     *block,
+			Retention: *retention,
 		},
 	}
 	if *upstream != "" {
@@ -110,9 +103,6 @@ func main() {
 		}
 	}
 	var handler http.Handler = srv.Handler()
-	if *peers != "" {
-		handler = withPeers(handler, strings.Split(*peers, ","))
-	}
 	if *pprofSrv {
 		// /debug/obs is always on (it's cheap JSON); CPU/heap profiling of
 		// the daemon itself is opt-in.
@@ -198,34 +188,6 @@ func restoreDumps(srv *aggd.Server, list string) error {
 		log.Printf("zsaggd: restored %d samples of job %q from %s", n, bs.Job, path)
 	}
 	return nil
-}
-
-// withPeers overlays GET /api/peers — the leaf tier's sibling list, for
-// launchers discovering the failover set — on the server handler.
-func withPeers(next http.Handler, peers []string) http.Handler {
-	clean := make([]string, 0, len(peers))
-	for _, p := range peers {
-		if p = strings.TrimSpace(p); p != "" {
-			clean = append(clean, p)
-		}
-	}
-	body, err := json.Marshal(clean)
-	if err != nil {
-		body = []byte("[]")
-	}
-	body = append(body, '\n')
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/api/peers" {
-			if r.Method != http.MethodGet {
-				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(body)
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
 }
 
 func logRequests(next http.Handler) http.Handler {

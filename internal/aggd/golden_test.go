@@ -31,8 +31,7 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // goldenIngest loads a deterministic two-node, three-rank job: 25 seconds
 // of per-second samples per rank plus an end-of-run snapshot each. Block
-// width 10s guarantees sealed chunks (and therefore rollup-served buckets)
-// inside the query windows below. pick routes each rank's frames to an
+// width 10s guarantees sealed chunks inside the query windows below. pick routes each rank's frames to an
 // ingest base URL, so the same fixture drives a flat server (constant pick)
 // or a leaf tier (consistent-hash pick).
 func goldenIngest(t *testing.T, pick func(node string, rank int) string) []core.Snapshot {
@@ -99,7 +98,7 @@ func TestTSDBGolden(t *testing.T) {
 	fixed := time.Unix(1_700_000_000, 0)
 	srv := NewServer(ServerConfig{
 		Now:  func() time.Time { return fixed },
-		TSDB: tsdb.Options{Block: 10 * time.Second, Downsample: 2 * time.Second},
+		TSDB: tsdb.Options{Block: 10 * time.Second},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -27,9 +27,9 @@ type ServerConfig struct {
 	Now func() time.Time
 	// MaxBody bounds one ingest request body (default 64 MiB).
 	MaxBody int64
-	// TSDB tunes the embedded time-series store (block width, downsample
-	// step, retention). The zero value takes the store's defaults. Root
-	// only: a leaf builds no store and ignores it.
+	// TSDB tunes the embedded time-series store (block width, retention).
+	// The zero value takes the store's defaults. Root only: a leaf builds
+	// no store and ignores it.
 	TSDB tsdb.Options
 	// Forward, when non-nil, runs the server as a leaf of an aggregation
 	// tree: a pure relay that queues every admitted batch and snapshot

@@ -103,7 +103,7 @@ func TestTreeGoldenEndpoints(t *testing.T) {
 	h := newTreeHarness(t, 3, func() ServerConfig {
 		return ServerConfig{
 			Now:  func() time.Time { return fixed },
-			TSDB: tsdb.Options{Block: 10 * time.Second, Downsample: 2 * time.Second},
+			TSDB: tsdb.Options{Block: 10 * time.Second},
 		}
 	})
 	snaps := goldenIngest(t, func(node string, rank int) string {

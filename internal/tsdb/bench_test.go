@@ -8,8 +8,8 @@ import (
 )
 
 // benchOptions is the pipeline benchmark's store geometry at 1 Hz: blocks
-// of 60 ticks, rollup buckets of 5, retention of 120.
-var benchOptions = Options{Block: time.Minute, Downsample: 5 * time.Second, Retention: 2 * time.Minute}
+// of 60 ticks, retention of 120.
+var benchOptions = Options{Block: time.Minute, Retention: 2 * time.Minute}
 
 // BenchmarkQueryDashboard times the dashboard's three wide views over a
 // synthetic 64-rank job at 1 Hz: 128 CPUs per rank (hwt.user_pct, three in
@@ -138,4 +138,40 @@ func BenchmarkSealHeavyAppend(b *testing.B) {
 	runtime.KeepAlive(st)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ranks*perRank*ticks), "ns/sample")
 	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/(1<<20), "MiB-retained")
+}
+
+// BenchmarkMarshalJob times a ZSTB dump of a 16 000-series job: 125 ranks
+// of 128 CPUs on one metric, the width of the dashboard's hwt.user_pct
+// (three in four idle), each holding 90 ticks at 1 Hz (one sealed chunk and
+// a 30-sample head). The dump's series sort is what grows with the series
+// count.
+func BenchmarkMarshalJob(b *testing.B) {
+	const ranks, cpus, ticks = 125, 128, 90
+	st := NewStore(benchOptions)
+	rng := rand.New(rand.NewSource(7))
+	for r := 0; r < ranks; r++ {
+		ba := st.BeginBatch("job", "node", r)
+		for c := 0; c < cpus; c++ {
+			h := ba.Resolve(SeriesKey{Node: "node", Rank: r, TID: c, Metric: "hwt.user_pct"})
+			for i := 0; i < ticks; i++ {
+				v := 0.0
+				if c%4 == 0 {
+					v = float64(rng.Intn(1000)) / 10
+				}
+				ba.Append(h, int64(i)*1e9, v)
+			}
+		}
+		ba.End()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	size := 0
+	for i := 0; i < b.N; i++ {
+		blob, err := st.MarshalJob("job")
+		if err != nil {
+			b.Fatal(err)
+		}
+		size = len(blob)
+	}
+	b.ReportMetric(float64(size), "B/dump")
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -423,71 +422,4 @@ func TestIterErrIsSticky(t *testing.T) {
 	if it.Next() || it.Err() != nil {
 		t.Fatalf("clean end of stream reports %v", it.Err())
 	}
-}
-
-// TestSealRollupsMatchReference feeds a head in-order samples with
-// stragglers mixed in and checks the insertion-built rollups a dump carries
-// for the chunk (rollupsOf) against the map-and-sort reference.
-func TestSealRollupsMatchReference(t *testing.T) {
-	const ds = int64(5e9)
-	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 50; round++ {
-		var h head
-		var pts []Point
-		for i := 0; i < 120; i++ {
-			ts := int64(i) * 1e9
-			if rng.Intn(6) == 0 {
-				ts = int64(rng.Intn(120))*1e9 + int64(rng.Intn(1000)) // straggler, possibly a duplicate bucket
-			}
-			p := Point{T: ts, V: rng.NormFloat64()}
-			pts = append(pts, p)
-			h.append(p.T, p.V)
-		}
-		c := h.view()
-		got := c.rollupsOf(ds)
-		want := bucketize(ds, pts)
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d rollups, reference %d", round, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("round %d rollup %d: %+v, reference %+v", round, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// bucketize computes a point list's per-bucket aggregates by the same rules
-// rollupsOf uses, as an independent reference for chunk rollups.
-func bucketize(ds int64, pts []Point) []Rollup {
-	acc := make(map[int64]*Rollup)
-	for _, p := range pts {
-		bucket := floorDiv(p.T, ds) * ds
-		r := acc[bucket]
-		if r == nil {
-			r = &Rollup{Bucket: bucket, Min: p.V, Max: p.V,
-				First: p.V, Last: p.V, FirstT: p.T, LastT: p.T}
-			acc[bucket] = r
-		}
-		r.Count++
-		r.Sum += p.V
-		if p.V < r.Min {
-			r.Min = p.V
-		}
-		if p.V > r.Max {
-			r.Max = p.V
-		}
-		if p.T < r.FirstT {
-			r.FirstT, r.First = p.T, p.V
-		}
-		if p.T >= r.LastT {
-			r.LastT, r.Last = p.T, p.V
-		}
-	}
-	out := make([]Rollup, 0, len(acc))
-	for _, r := range acc {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bucket < out[j].Bucket })
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Sealed-block wire format (all little endian). One encoded blob carries a
@@ -13,23 +14,27 @@ import (
 // future:
 //
 //	magic   "ZSTB" (4 bytes)
-//	version uint8 (currently 1)
+//	version uint8 (currently 2)
 //	job     u16 length + bytes
 //	nseries u32
 //	  per series: node, metric (u16 strings), rank i32, tid i32, nchunks u32
 //	    per chunk: part i64, tMin i64, tMax i64, count u32,
-//	               nrollups u32, rollups (bucket i64, count u32,
-//	               min/max/sum/first/last f64, firstT/lastT i64),
 //	               datalen u32 + Gorilla bitstream bytes
 //	crc     u32 (CRC-32C of everything after the magic, before the crc)
 //
+// A chunk record is its bounds, its count and its bits. A version-1 blob,
+// whose chunk records also carried rollups, is refused, not parsed.
+//
 // The decoder is fuzzed (FuzzTSDBBlockDecode): it must reject damage with
 // an error — never panic, never let a hostile count size an allocation the
-// remaining bytes cannot back, never over-read.
+// remaining bytes cannot back, never over-read. A chunk's sample count
+// sizes the slice Samples decodes into, so it must lie in
+// [1, maxChunkSamples]: the store never writes an empty chunk or a fuller
+// one.
 
 const (
 	blockMagic   = "ZSTB"
-	blockVersion = 1
+	blockVersion = 2
 	// MaxBlockEncoded bounds one encoded job blob, mirroring the frame
 	// limit on the ingest wire.
 	MaxBlockEncoded = 256 << 20
@@ -39,31 +44,14 @@ const (
 // uniform across the two formats.
 var blockCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Rollup is one downsample bucket's aggregate of a sealed chunk, as a ZSTB
-// dump carries it. Sum and Count reconstruct the mean; First/Last (with
-// their timestamps) give a reader of the dump last-value and delta
-// aggregations without decompression.
-type Rollup struct {
-	Bucket int64 // bucket start, sample-clock nanos
-	Count  uint32
-	Min    float64
-	Max    float64
-	Sum    float64
-	First  float64
-	Last   float64
-	FirstT int64
-	LastT  int64
-}
-
-// BlockChunk is one decoded chunk: metadata, rollups, and the still-
-// compressed bitstream.
+// BlockChunk is one decoded chunk: metadata and the still-compressed
+// bitstream.
 type BlockChunk struct {
-	Part    int64
-	TMin    int64
-	TMax    int64
-	Count   int
-	Rollups []Rollup
-	Data    []byte
+	Part  int64
+	TMin  int64
+	TMax  int64
+	Count int
+	Data  []byte
 }
 
 // Samples decodes the chunk's bitstream. A corrupt stream yields an error
@@ -103,24 +91,21 @@ func (st *Store) MarshalJob(job string) ([]byte, error) {
 }
 
 // snapshotBlocks captures the job's chunk inventory as a BlockSet under the
-// shard locks. Sealed chunk data is immutable and shared, and its rollups
-// are computed here, on Options.Downsample buckets; heads carry no rollups,
-// and their bitstreams are cloned while locked because appends keep
-// mutating them.
+// shard locks. Sealed chunk data is immutable and shared; head bitstreams
+// are cloned while locked because appends keep mutating them.
 func (st *Store) snapshotBlocks(job string) (*BlockSet, error) {
 	db := st.lookupJob(job)
 	if db == nil {
 		return nil, fmt.Errorf("tsdb: unknown job %q", job)
 	}
 	bs := &BlockSet{Job: job}
-	ds := int64(st.opts.Downsample)
 	//zerosum:locked seriesShard.mu eachShard holds the shard lock around fn
 	db.eachShard(func(sh *seriesShard) {
 		for key, s := range sh.series {
 			fs := BlockSeries{Key: key}
 			for _, c := range s.sealed {
 				fs.Chunks = append(fs.Chunks, BlockChunk{Part: c.part, TMin: c.tMin, TMax: c.tMax,
-					Count: c.count, Rollups: c.rollupsOf(ds), Data: c.data})
+					Count: c.count, Data: c.data})
 			}
 			if h := &s.head; h.count > 0 {
 				fs.Chunks = append(fs.Chunks, BlockChunk{Part: h.part, TMin: h.tMin, TMax: h.tMax,
@@ -131,69 +116,17 @@ func (st *Store) snapshotBlocks(job string) (*BlockSet, error) {
 			}
 		}
 	})
-	// Insertion sort: series counts per job are modest and marshalling is
-	// not a hot path.
-	s := bs.Series
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && keyLess(s[j].Key, s[j-1].Key); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+	// A job can hold tens of thousands of series (one per CPU per rank).
+	slices.SortFunc(bs.Series, func(a, b BlockSeries) int {
+		switch {
+		case keyLess(a.Key, b.Key):
+			return -1
+		case keyLess(b.Key, a.Key):
+			return 1
 		}
-	}
+		return 0
+	})
 	return bs, nil
-}
-
-// rollupsOf decodes the chunk once and aggregates it on ds-wide buckets,
-// sorted by bucket start: the rollups a ZSTB dump carries for a sealed
-// chunk. Nothing in the store keeps them.
-func (c *chunk) rollupsOf(ds int64) []Rollup {
-	if c.count == 0 {
-		return nil
-	}
-	// Samples arrive in bucket order except for stragglers, so the rollups
-	// build as a sorted slice: a sample nearly always lands in the last
-	// rollup or opens the next one, and a straggler's bucket is found (or
-	// inserted in place) by walking back from the end.
-	n := floorDiv(c.tMax, ds) - floorDiv(c.tMin, ds) + 1
-	if n <= 0 || n > int64(c.count) {
-		n = int64(c.count)
-	}
-	rollups := make([]Rollup, 0, n)
-	var it gIter
-	it.init(c.data, c.count)
-	for it.Next() {
-		t, v := it.At()
-		bucket := floorDiv(t, ds) * ds
-		i := len(rollups)
-		for i > 0 && rollups[i-1].Bucket > bucket {
-			i--
-		}
-		if i == 0 || rollups[i-1].Bucket != bucket {
-			rollups = append(rollups, Rollup{})
-			copy(rollups[i+1:], rollups[i:])
-			rollups[i] = Rollup{Bucket: bucket, Min: v, Max: v,
-				First: v, Last: v, FirstT: t, LastT: t}
-			i++
-		}
-		r := &rollups[i-1]
-		r.Count++
-		r.Sum += v
-		if v < r.Min {
-			r.Min = v
-		}
-		if v > r.Max {
-			r.Max = v
-		}
-		if t < r.FirstT {
-			r.FirstT, r.First = t, v
-		}
-		if t >= r.LastT {
-			r.LastT, r.Last = t, v
-		}
-	}
-	// The chunk encoded its own samples; decoding them back cannot fail.
-	// (A decode error here would mean a writer bug, not bad input — the
-	// rollups just come out shorter.)
-	return rollups
 }
 
 // marshalBlockSet renders the ZSTB wire form of a block inventory.
@@ -222,19 +155,6 @@ func marshalBlockSet(bs *BlockSet) ([]byte, error) {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(fc.TMin))
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(fc.TMax))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(fc.Count))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fc.Rollups)))
-			for i := range fc.Rollups {
-				r := &fc.Rollups[i]
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Bucket))
-				buf = binary.LittleEndian.AppendUint32(buf, r.Count)
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Min))
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Max))
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Sum))
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.First))
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Last))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(r.FirstT))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(r.LastT))
-			}
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fc.Data)))
 			buf = append(buf, fc.Data...)
 		}
@@ -284,11 +204,6 @@ func (d *blockCursor) i64() (int64, error) {
 	return int64(binary.LittleEndian.Uint64(b)), nil
 }
 
-func (d *blockCursor) f64() (float64, error) {
-	v, err := d.i64()
-	return math.Float64frombits(uint64(v)), err
-}
-
 func (d *blockCursor) str() (string, error) {
 	b, err := d.need(2)
 	if err != nil {
@@ -303,8 +218,9 @@ func (d *blockCursor) str() (string, error) {
 }
 
 // UnmarshalBlocks decodes a ZSTB blob. Damage — bad magic, version, CRC,
-// truncation, or counts the remaining bytes cannot back — returns an
-// error; the function never panics on arbitrary input.
+// truncation, a chunk sample count outside [1, maxChunkSamples], or counts
+// the remaining bytes cannot back — returns an error; the function never
+// panics on arbitrary input.
 //
 //zerosum:wire-decode tsdb-block
 func UnmarshalBlocks(data []byte) (*BlockSet, error) {
@@ -359,8 +275,8 @@ func UnmarshalBlocks(data []byte) (*BlockSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A chunk costs at least its fixed header: 36 bytes.
-		if int64(nChunks)*36 > int64(len(body)-d.off) {
+		// A chunk costs at least its fixed header: 32 bytes.
+		if int64(nChunks)*32 > int64(len(body)-d.off) {
 			return nil, fmt.Errorf("tsdb: series %d claims %d chunks in %d bytes", si, nChunks, len(body)-d.off)
 		}
 		s.Chunks = make([]BlockChunk, 0, nChunks)
@@ -379,47 +295,10 @@ func UnmarshalBlocks(data []byte) (*BlockSet, error) {
 			if err != nil {
 				return nil, err
 			}
+			if count == 0 || count > maxChunkSamples {
+				return nil, fmt.Errorf("tsdb: chunk claims %d samples (want 1..%d)", count, maxChunkSamples)
+			}
 			c.Count = int(count)
-			nRoll, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			// One rollup is 68 fixed bytes.
-			if int64(nRoll)*68 > int64(len(body)-d.off) {
-				return nil, fmt.Errorf("tsdb: chunk claims %d rollups in %d bytes", nRoll, len(body)-d.off)
-			}
-			c.Rollups = make([]Rollup, 0, nRoll)
-			for ri := uint32(0); ri < nRoll; ri++ {
-				var r Rollup
-				if r.Bucket, err = d.i64(); err != nil {
-					return nil, err
-				}
-				if r.Count, err = d.u32(); err != nil {
-					return nil, err
-				}
-				if r.Min, err = d.f64(); err != nil {
-					return nil, err
-				}
-				if r.Max, err = d.f64(); err != nil {
-					return nil, err
-				}
-				if r.Sum, err = d.f64(); err != nil {
-					return nil, err
-				}
-				if r.First, err = d.f64(); err != nil {
-					return nil, err
-				}
-				if r.Last, err = d.f64(); err != nil {
-					return nil, err
-				}
-				if r.FirstT, err = d.i64(); err != nil {
-					return nil, err
-				}
-				if r.LastT, err = d.i64(); err != nil {
-					return nil, err
-				}
-				c.Rollups = append(c.Rollups, r)
-			}
 			dataLen, err := d.u32()
 			if err != nil {
 				return nil, err

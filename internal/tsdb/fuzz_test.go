@@ -17,8 +17,8 @@ var updateCorpus = flag.Bool("update", false, "rewrite the checked-in fuzz seed 
 
 // fuzzSeedBlobs builds well-formed block blobs plus near-miss mutations so
 // the fuzzer starts past the magic/CRC checks.
-func fuzzSeedBlobs(t interface{ Fatalf(string, ...any) }) map[string][]byte {
-	st := NewStore(Options{Block: 10 * time.Second, Downsample: 2 * time.Second})
+func fuzzSeedBlobs(t testing.TB) map[string][]byte {
+	st := NewStore(Options{Block: 10 * time.Second})
 	for r := 0; r < 2; r++ {
 		key := SeriesKey{Node: "n00", Rank: r, TID: 1000 + r, Metric: "lwp.nvctx"}
 		for i := 0; i < 25; i++ {
@@ -43,19 +43,20 @@ func fuzzSeedBlobs(t interface{ Fatalf(string, ...any) }) map[string][]byte {
 	flipped := append([]byte(nil), blob...)
 	flipped[len(flipped)/3] ^= 0x20
 	return map[string][]byte{
-		"seed_blocks":    blob,
-		"seed_single":    small,
-		"seed_truncated": truncated,
-		"seed_bitflip":   flipped,
-		"seed_magic":     []byte("ZSTB\x01"),
+		"seed_blocks":        blob,
+		"seed_single":        small,
+		"seed_truncated":     truncated,
+		"seed_bitflip":       flipped,
+		"seed_magic":         append([]byte(blockMagic), blockVersion),
+		"seed_hostile_count": oneChunkBlob(t, maxChunkSamples+1),
 	}
 }
 
 // FuzzTSDBBlockDecode throws arbitrary bytes at the block decoder and, for
 // anything that decodes, at the chunk bitstream decoder. Invariants: no
 // panic, no over-read (hostile counts are rejected before they size
-// allocations), and a chunk never yields more samples than its declared
-// count.
+// allocations), a decoded chunk declares at most maxChunkSamples samples,
+// and it never yields more samples than it declares.
 func FuzzTSDBBlockDecode(f *testing.F) {
 	for _, seed := range fuzzSeedBlobs(f) {
 		f.Add(seed)
@@ -72,6 +73,9 @@ func FuzzTSDBBlockDecode(f *testing.F) {
 		// everything reachable from one must stay in bounds.
 		for _, s := range bs.Series {
 			for _, c := range s.Chunks {
+				if c.Count > maxChunkSamples {
+					t.Fatalf("chunk declares %d samples, more than a chunk holds (%d)", c.Count, maxChunkSamples)
+				}
 				pts, err := c.Samples()
 				if len(pts) > c.Count {
 					t.Fatalf("chunk decoded %d samples, declared %d", len(pts), c.Count)

@@ -68,7 +68,7 @@ func scanQuery(st *Store, job string, opts QueryOpts) []SeriesResult {
 	return out
 }
 
-var indexTestOpts = Options{Block: 10 * time.Second, Downsample: 2 * time.Second}
+var indexTestOpts = Options{Block: 10 * time.Second}
 
 // indexTestSamples is a small job with everything a selector can tell
 // apart: three metrics, three nodes, rank 0 present on two nodes, several

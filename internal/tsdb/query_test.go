@@ -91,7 +91,7 @@ func TestQueryRawAndFilters(t *testing.T) {
 }
 
 func TestQuerySteppedAggregations(t *testing.T) {
-	st := NewStore(Options{Block: time.Minute, Downsample: 5 * time.Second})
+	st := NewStore(Options{Block: time.Minute})
 	// One series, values 0..29 at seconds 0..29.
 	fill(st, "j", "m", 1, 30, 0)
 	q := func(agg AggKind) []Point {
@@ -126,11 +126,11 @@ func TestQuerySteppedAggregations(t *testing.T) {
 }
 
 // TestQueryRollupMatchesRaw pins a stepped query over sealed chunks, with
-// steps on the downsample grid (the buckets a ZSTB dump's rollups cover),
-// to a manual recompute from the raw samples, for every aggregation.
+// steps that nest in the block grid, to a manual recompute from the raw
+// samples, for every aggregation.
 func TestQueryRollupMatchesRaw(t *testing.T) {
-	// Block 10s, downsample 2s: sealing happens often, and step 10s aligns.
-	st := NewStore(Options{Block: 10 * time.Second, Downsample: 2 * time.Second})
+	// Block 10s: sealing happens often, and step 10s aligns.
+	st := NewStore(Options{Block: 10 * time.Second})
 	fill(st, "j", "m", 3, 95, 100) // 9 sealed blocks + live head per series
 	js := st.JobStats("j")
 	if js.SealedChunks < 9*3 {
@@ -166,10 +166,10 @@ func TestQueryRollupMatchesRaw(t *testing.T) {
 }
 
 func TestQueryMisalignedStepDecodes(t *testing.T) {
-	st := NewStore(Options{Block: 10 * time.Second, Downsample: 2 * time.Second})
+	st := NewStore(Options{Block: 10 * time.Second})
 	fill(st, "j", "m", 1, 40, 0)
-	// Step 7s does not divide by the 2s downsample: buckets straddle
-	// chunk and rollup boundaries and must still be exact.
+	// Step 7s does not divide the 10s block: buckets straddle chunk
+	// boundaries and must still be exact.
 	res, err := st.Query("j", QueryOpts{
 		Metric: "m", Rank: -1, TID: -1, Start: 0, End: 40e9, Step: 7e9, Agg: AggSum,
 	})
@@ -246,7 +246,7 @@ func TestQueryOutOfOrderSamples(t *testing.T) {
 }
 
 func TestHeatmap(t *testing.T) {
-	st := NewStore(Options{Block: time.Minute, Downsample: 5 * time.Second})
+	st := NewStore(Options{Block: time.Minute})
 	fill(st, "j", "hwt.idle_pct", 3, 30, 10)
 	hm, err := st.Heatmap("j", QueryOpts{
 		Metric: "hwt.idle_pct", Rank: -1, TID: -1,
@@ -362,8 +362,8 @@ func TestParseAgg(t *testing.T) {
 
 // BenchmarkQueryLongWindow times an hour-long stepped query over 576
 // series of 1 Hz random-walk samples, every chunk but the heads sealed,
-// with steps on the default downsample grid: the shape a stored per-bucket
-// aggregate would serve without decoding. The store holds only bits, so
+// with 5 s and 1 min steps: the shape a stored per-bucket aggregate would
+// serve without decoding. The store holds only bits, so
 // each op decodes the hour of every series.
 func BenchmarkQueryLongWindow(b *testing.B) {
 	const series, seconds = 576, 3600
@@ -379,7 +379,7 @@ func BenchmarkQueryLongWindow(b *testing.B) {
 		}
 		ba.End()
 	}
-	for _, step := range []time.Duration{DefaultDownsample, time.Minute} {
+	for _, step := range []time.Duration{5 * time.Second, time.Minute} {
 		b.Run(fmt.Sprintf("step=%v", step), func(b *testing.B) {
 			opts := QueryOpts{Metric: "lwp.user_pct", Rank: -1, TID: -1,
 				Start: 0, End: seconds * 1e9, Step: int64(step), Agg: AggMean}

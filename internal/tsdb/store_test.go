@@ -15,7 +15,7 @@ func testKey(rank, tid int, metric string) SeriesKey {
 }
 
 func TestStoreAppendAndStats(t *testing.T) {
-	st := NewStore(Options{Block: time.Minute, Downsample: 5 * time.Second})
+	st := NewStore(Options{Block: time.Minute})
 	key := testKey(0, 1000, "lwp.nvctx")
 	for i := 0; i < 100; i++ {
 		st.Append("job1", key, int64(i)*1e9, float64(i))
@@ -44,9 +44,8 @@ func TestStoreAppendAndStats(t *testing.T) {
 
 func TestStoreRetention(t *testing.T) {
 	st := NewStore(Options{
-		Block:      time.Minute,
-		Downsample: 5 * time.Second,
-		Retention:  2 * time.Minute,
+		Block:     time.Minute,
+		Retention: 2 * time.Minute,
 	})
 	key := testKey(0, 0, "mem.rss_kb")
 	// Ten minutes of one-second samples: blocks 0..9, retention keeps the
@@ -118,7 +117,7 @@ func TestStoreRetention(t *testing.T) {
 // sample seals it. A change to how series hold their chunks must leave
 // every pinned value as it is.
 func TestStoreLayoutGolden(t *testing.T) {
-	st := NewStore(Options{Block: 10 * time.Second, Downsample: 2 * time.Second, Retention: 30 * time.Second})
+	st := NewStore(Options{Block: 10 * time.Second, Retention: 30 * time.Second})
 	rng := rand.New(rand.NewSource(48))
 	var keys []SeriesKey
 	for _, node := range []string{"n0", "n1"} {
@@ -170,7 +169,7 @@ func TestStoreLayoutGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(blob)
-	if got, want := hex.EncodeToString(sum[:]), "114b410fbf08d417e4238f9a5657d247a3e04d074d59532d5b2d4829a3b31771"; got != want {
+	if got, want := hex.EncodeToString(sum[:]), "6c32338ac5a1a39f8ded22d2286e65529ffe799191ce7fb04697d58662abe531"; got != want {
 		t.Errorf("MarshalJob: %d bytes, sha256 %s, want %s", len(blob), got, want)
 	}
 }
@@ -270,7 +269,7 @@ func TestStoreSnapshots(t *testing.T) {
 }
 
 func TestStoreConcurrentAppend(t *testing.T) {
-	st := NewStore(Options{Block: time.Second, Downsample: 250 * time.Millisecond})
+	st := NewStore(Options{Block: time.Second})
 	const ranks, perRank = 8, 500
 	done := make(chan struct{})
 	for r := 0; r < ranks; r++ {
@@ -305,7 +304,7 @@ func TestStoreConcurrentAppend(t *testing.T) {
 }
 
 func TestBlockMarshalRoundTrip(t *testing.T) {
-	st := NewStore(Options{Block: 10 * time.Second, Downsample: time.Second})
+	st := NewStore(Options{Block: 10 * time.Second})
 	type stream struct {
 		key SeriesKey
 		pts []Point
@@ -362,18 +361,6 @@ func TestBlockMarshalRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Sealed chunks must carry their rollups across the wire.
-	foundRollup := false
-	for _, s := range bs.Series {
-		for _, c := range s.Chunks {
-			if len(c.Rollups) > 0 {
-				foundRollup = true
-			}
-		}
-	}
-	if !foundRollup {
-		t.Fatal("no rollups survived marshalling")
-	}
 	// Determinism: same store contents, same bytes.
 	blob2, err := st.MarshalJob("jobX")
 	if err != nil {
@@ -418,14 +405,13 @@ func TestUnmarshalBlocksRejectsDamage(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Block != DefaultBlock || o.Downsample != DefaultDownsample || o.Retention != 0 {
+	if o.Block != DefaultBlock || o.Retention != 0 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	// Downsample coarser than the block clamps down, so rollup buckets
-	// always nest inside a chunk's block.
-	o = Options{Block: time.Second, Downsample: time.Hour}.withDefaults()
-	if o.Downsample != time.Second {
-		t.Fatalf("Downsample = %v, want clamped to block", o.Downsample)
+	// A negative retention keeps everything, as zero does.
+	o = Options{Block: time.Second, Retention: -time.Hour}.withDefaults()
+	if o.Block != time.Second || o.Retention != 0 {
+		t.Fatalf("Options{Block: 1s, Retention: -1h} = %+v", o)
 	}
 }
 

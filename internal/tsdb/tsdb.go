@@ -14,9 +14,8 @@
 // Block) or the chunk fills. A sealed chunk keeps only its bitstream:
 // queries decompress the chunks whose time range overlaps the window and
 // fold their samples, and untouched series and blocks stay compressed. The
-// ZSTB dump (MarshalJob) adds downsampled rollups (count / min / max / sum
-// / first / last per Options.Downsample bucket) to each sealed chunk as it
-// writes it.
+// ZSTB dump (MarshalJob) carries the same bits: each chunk's bounds, count
+// and bitstream, and no precomputed aggregate.
 // Each shard also lists its series by metric, so a query visits the series
 // of the one metric it names, not every series of the job.
 // Retention (Options.Retention) evicts chunks whose newest sample has aged
@@ -39,13 +38,11 @@ import (
 	"time"
 )
 
-// Default tuning. Block and downsample spans are in sample time (job
-// seconds), not wall time.
+// Default tuning. The block span is in sample time (job seconds), not wall
+// time.
 const (
 	// DefaultBlock is the time span one sealed chunk covers.
 	DefaultBlock = time.Minute
-	// DefaultDownsample is the rollup bucket width of a dump's sealed chunks.
-	DefaultDownsample = 5 * time.Second
 	// maxChunkSamples seals a chunk early so one series flooding samples
 	// inside a single block cannot grow a chunk without bound.
 	maxChunkSamples = 16384
@@ -57,9 +54,11 @@ type Options struct {
 	// Block is the sample-time span of one chunk; crossing a block boundary
 	// seals the head chunk into an immutable one (default DefaultBlock).
 	Block time.Duration
-	// Downsample is the bucket width of the rollups MarshalJob writes for
-	// each sealed chunk (default DefaultDownsample, clamped to at most
-	// Block). The store itself keeps no rollups; queries never read them.
+	// Downsample is ignored: neither the store nor its ZSTB dump keeps
+	// downsampled rollups.
+	//
+	// Deprecated: the field stays only because bench/pipeline.go:118 sets
+	// it; it goes with that line (ROADMAP item 1).
 	Downsample time.Duration
 	// Retention bounds how far back of the job's newest sample chunks, heads
 	// included, are kept; 0 keeps everything. Eviction happens when a
@@ -71,12 +70,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Block <= 0 {
 		o.Block = DefaultBlock
-	}
-	if o.Downsample <= 0 {
-		o.Downsample = DefaultDownsample
-	}
-	if o.Downsample > o.Block {
-		o.Downsample = o.Block
 	}
 	if o.Retention < 0 {
 		o.Retention = 0
