@@ -102,13 +102,19 @@ bench-correct:
 # zsrun -logdir's per-rank report and §3.6 CSVs (rendered from each rank's
 # .zsbp frame log) against sha256 sums pinned in cmd/zsrun/main_test.go, and
 # the tsdb store's accounting and ZSTB dump of a seeded append script against
-# the values pinned in internal/tsdb/store_test.go.
+# the values pinned in internal/tsdb/store_test.go, and the paper's numbers:
+# the sha256 of each cmd/experiments output (L1, L2, T1-T3, F5-F8, ABL) at
+# -scale 0.05 -runs 3 -ranks 64 -seed 1, pinned in cmd/experiments/main_test.go.
 # After reviewing an intentional layout change, refresh the report goldens
 # with `make golden-update`, paste the new CSV sums by hand, and commit.
+# After an intentional change to a paper result, paste the new sum of
+#   go run ./cmd/experiments -run <ID> -scale 0.05 -runs 3 -ranks 64 -seed 1 | sha256sum
+# into TestPaperNumbersGolden by hand, and say in the commit which result moved.
 golden:
 	$(GO) test ./internal/report -run TestGolden
 	$(GO) test ./cmd/zsrun -run '^TestLogdirGolden$$'
 	$(GO) test ./internal/tsdb -run '^TestStoreLayoutGolden$$'
+	$(GO) test ./cmd/experiments -run '^TestPaperNumbersGolden$$'
 
 golden-update:
 	$(GO) test ./internal/report -run TestGolden -update

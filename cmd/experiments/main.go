@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -35,28 +36,28 @@ func main() {
 		ids = []string{"L1", "L2", "T1", "T2", "T3", "F5", "F6", "F7", "F8", "ABL"}
 	}
 	for _, id := range ids {
-		if err := runOne(strings.TrimSpace(id), *scale, *runs, *ranks, *seed, *verb); err != nil {
+		if err := runOne(os.Stdout, strings.TrimSpace(id), *scale, *runs, *ranks, *seed, *verb); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
 			os.Exit(1)
 		}
 	}
 }
 
-func runOne(id string, scale float64, runs, ranks int, seed uint64, verbose bool) error {
+func runOne(w io.Writer, id string, scale float64, runs, ranks int, seed uint64, verbose bool) error {
 	switch id {
 	case "L1":
-		fmt.Println("## Listing 1 — hwloc topology of the 4-core test system")
-		fmt.Println(experiments.Listing1())
+		fmt.Fprintln(w, "## Listing 1 — hwloc topology of the 4-core test system")
+		fmt.Fprintln(w, experiments.Listing1())
 	case "L2":
 		tr, err := experiments.Listing2(scale, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println("## Listing 2 — miniQMC target offload, full ZeroSum report (rank 0)")
-		fmt.Printf("# %s\n", tr.Command)
-		fmt.Printf("# paper duration %.3f s (at scale %.2f: %.3f s), measured %.3f s\n\n",
+		fmt.Fprintln(w, "## Listing 2 — miniQMC target offload, full ZeroSum report (rank 0)")
+		fmt.Fprintf(w, "# %s\n", tr.Command)
+		fmt.Fprintf(w, "# paper duration %.3f s (at scale %.2f: %.3f s), measured %.3f s\n\n",
 			experiments.PaperL2Seconds, scale, tr.PaperSeconds, tr.WallSeconds)
-		if err := report.Write(os.Stdout, tr.Snapshot, report.Options{Memory: true, Contention: true}); err != nil {
+		if err := report.Write(w, tr.Snapshot, report.Options{Memory: true, Contention: true}); err != nil {
 			return err
 		}
 	case "T1", "T2", "T3":
@@ -73,15 +74,15 @@ func runOne(id string, scale float64, runs, ranks int, seed uint64, verbose bool
 		if err != nil {
 			return err
 		}
-		fmt.Printf("## %s\n", tr.Label)
-		fmt.Printf("# %s\n", tr.Command)
-		fmt.Printf("# paper runtime %.2f s (scaled: %.2f s), measured %.2f s\n",
+		fmt.Fprintf(w, "## %s\n", tr.Label)
+		fmt.Fprintf(w, "# %s\n", tr.Command)
+		fmt.Fprintf(w, "# paper runtime %.2f s (scaled: %.2f s), measured %.2f s\n",
 			tr.PaperSeconds/scale, tr.PaperSeconds, tr.WallSeconds)
-		if err := report.WriteComparison(os.Stdout, []string{tr.Label}, []core.Snapshot{tr.Snapshot}); err != nil {
+		if err := report.WriteComparison(w, []string{tr.Label}, []core.Snapshot{tr.Snapshot}); err != nil {
 			return err
 		}
 		if verbose {
-			if err := report.Write(os.Stdout, tr.Snapshot, report.Options{Contention: true, Memory: true}); err != nil {
+			if err := report.Write(w, tr.Snapshot, report.Options{Contention: true, Memory: true}); err != nil {
 				return err
 			}
 		}
@@ -90,11 +91,11 @@ func runOne(id string, scale float64, runs, ranks int, seed uint64, verbose bool
 		if err != nil {
 			return err
 		}
-		fmt.Printf("## Figure 5 — MPI point-to-point heatmap, %d ranks\n", ranks)
-		fmt.Printf("# total bytes: %.3e, nearest-neighbour band fraction (|d|<=1): %.3f\n",
+		fmt.Fprintf(w, "## Figure 5 — MPI point-to-point heatmap, %d ranks\n", ranks)
+		fmt.Fprintf(w, "# total bytes: %.3e, nearest-neighbour band fraction (|d|<=1): %.3f\n",
 			hm.Total(), hm.BandFraction(1))
-		fmt.Printf("# job wall: %.2f s\n\n", res.WallSeconds)
-		if err := hm.WriteASCII(os.Stdout, 64); err != nil {
+		fmt.Fprintf(w, "# job wall: %.2f s\n\n", res.WallSeconds)
+		if err := hm.WriteASCII(w, 64); err != nil {
 			return err
 		}
 	case "F6", "F7":
@@ -103,22 +104,22 @@ func runOne(id string, scale float64, runs, ranks int, seed uint64, verbose bool
 			return err
 		}
 		if id == "F6" {
-			fmt.Println("## Figure 6 — LWP (threads) utilization over time")
-			fmt.Printf("# mean sample-to-sample noisiness: %.4f\n", sr.LWPNoisiness)
-			if err := sr.LWP.WriteSparklines(os.Stdout, 100); err != nil {
+			fmt.Fprintln(w, "## Figure 6 — LWP (threads) utilization over time")
+			fmt.Fprintf(w, "# mean sample-to-sample noisiness: %.4f\n", sr.LWPNoisiness)
+			if err := sr.LWP.WriteSparklines(w, 100); err != nil {
 				return err
 			}
 			if verbose {
-				return sr.LWP.WriteTSV(os.Stdout)
+				return sr.LWP.WriteTSV(w)
 			}
 		} else {
-			fmt.Println("## Figure 7 — CPU core utilization over time")
-			fmt.Printf("# mean sample-to-sample noisiness: %.4f\n", sr.HWTNoisiness)
-			if err := sr.HWT.WriteSparklines(os.Stdout, 100); err != nil {
+			fmt.Fprintln(w, "## Figure 7 — CPU core utilization over time")
+			fmt.Fprintf(w, "# mean sample-to-sample noisiness: %.4f\n", sr.HWTNoisiness)
+			if err := sr.HWT.WriteSparklines(w, 100); err != nil {
 				return err
 			}
 			if verbose {
-				return sr.HWT.WriteTSV(os.Stdout)
+				return sr.HWT.WriteTSV(w)
 			}
 		}
 	case "F8":
@@ -126,7 +127,7 @@ func runOne(id string, scale float64, runs, ranks int, seed uint64, verbose bool
 		if err != nil {
 			return err
 		}
-		fmt.Printf("## Figure 8 — ZeroSum overhead, %d runs per side\n", runs)
+		fmt.Fprintf(w, "## Figure 8 — ZeroSum overhead, %d runs per side\n", runs)
 		paper := [2]struct {
 			base, with, p float64
 		}{
@@ -134,15 +135,15 @@ func runOne(id string, scale float64, runs, ranks int, seed uint64, verbose bool
 			{experiments.PaperF8Base2T, experiments.PaperF8With2T, experiments.PaperF8P2T},
 		}
 		for i, sc := range scens {
-			fmt.Printf("\n%s:\n", sc.Name)
-			fmt.Printf("  baseline: %s\n", sc.BaselineStats)
-			fmt.Printf("  zerosum : %s\n", sc.WithStats)
-			fmt.Printf("  overhead: %+.4f s (%+.3f%%)\n", sc.OverheadSec, sc.OverheadFrac*100)
-			fmt.Printf("  Welch t-test: t=%+.3f df=%.1f p=%.4g\n", sc.TTest.T, sc.TTest.DF, sc.TTest.P)
-			fmt.Printf("  paper: baseline %.4f s, zerosum %.4f s, p=%.4g\n",
+			fmt.Fprintf(w, "\n%s:\n", sc.Name)
+			fmt.Fprintf(w, "  baseline: %s\n", sc.BaselineStats)
+			fmt.Fprintf(w, "  zerosum : %s\n", sc.WithStats)
+			fmt.Fprintf(w, "  overhead: %+.4f s (%+.3f%%)\n", sc.OverheadSec, sc.OverheadFrac*100)
+			fmt.Fprintf(w, "  Welch t-test: t=%+.3f df=%.1f p=%.4g\n", sc.TTest.T, sc.TTest.DF, sc.TTest.P)
+			fmt.Fprintf(w, "  paper: baseline %.4f s, zerosum %.4f s, p=%.4g\n",
 				paper[i].base*scale, paper[i].with*scale, paper[i].p)
-			fmt.Println("  runtime distributions (the Figure 8 view):")
-			if err := analysis.CompareDistributions(os.Stdout,
+			fmt.Fprintln(w, "  runtime distributions (the Figure 8 view):")
+			if err := analysis.CompareDistributions(w,
 				"baseline", sc.Baseline, "with zerosum", sc.WithZeroSum, 8); err != nil {
 				return err
 			}
@@ -152,14 +153,14 @@ func runOne(id string, scale float64, runs, ranks int, seed uint64, verbose bool
 		if err != nil {
 			return err
 		}
-		fmt.Println("## Ablations — why each contention model exists")
+		fmt.Fprintln(w, "## Ablations — why each contention model exists")
 		for _, a := range abl {
-			fmt.Println()
-			fmt.Println(a)
+			fmt.Fprintln(w)
+			fmt.Fprintln(w, a)
 		}
 	default:
 		return fmt.Errorf("unknown experiment %q", id)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }

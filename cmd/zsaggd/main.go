@@ -19,17 +19,19 @@
 // time-series store (see docs/tsdb.md); -block and -retention tune it.
 //
 // Daemons compose into an aggregation tree (docs/aggregation.md): a leaf
-// started with -leaf -upstream is a relay that forwards everything it
+// started with -upstream is a relay that forwards everything it
 // admits to its parent as rollup frames and stores nothing, agents spread
 // over the leaf tier by consistent hash, and the root alone stores and
 // answers the job-wide queries, exactly as a flat deployment would. A leaf
 // serves ingest, /healthz, /metrics, /api/jobs and /debug/obs. -restore
-// warms a fresh root's TSDB from ZSTB dumps.
+// warms a fresh root's TSDB from ZSTB dumps and serves their jobs' TSDB
+// reads; a restored job has no snapshots, so its /summary stays 404 until
+// its ranks report again.
 //
 // Usage:
 //
 //	zsaggd [-addr :9100] [-nvctx-per-sec N] [-retention 0] [-block 1m] [-v]
-//	       [-leaf -upstream http://root:9100 [-leaf-id name]]
+//	       [-upstream http://root:9100 [-leaf-id name]]
 //	       [-restore dump1.zstb,...]
 package main
 
@@ -60,18 +62,13 @@ func main() {
 		pprofSrv  = flag.Bool("pprof", false, "also serve /debug/pprof profiling endpoints")
 		block     = flag.Duration("block", tsdb.DefaultBlock, "TSDB block width: head chunks seal on this sample-clock boundary (root only)")
 		retention = flag.Duration("retention", 0, "drop sealed TSDB chunks older than this behind each job's newest sample, 0 = keep everything (root only)")
-		leaf      = flag.Bool("leaf", false, "run as a leaf aggregator: forward admitted data upstream as rollup frames (requires -upstream)")
-		upstream  = flag.String("upstream", "", "parent aggregator base URL for leaf mode (implies -leaf)")
+		upstream  = flag.String("upstream", "", "parent aggregator base URL: run as a leaf that forwards admitted data there as rollup frames")
 		leafID    = flag.String("leaf-id", "", "leaf identity stamped on rollup frames (default: the listen address)")
 		restore   = flag.String("restore", "", "comma-separated ZSTB dump files imported into the TSDB at startup (root only)")
 	)
 	flag.Parse()
 
-	if *leaf && *upstream == "" {
-		fmt.Fprintln(os.Stderr, "zsaggd: -leaf requires -upstream")
-		os.Exit(2)
-	}
-	if *restore != "" && (*leaf || *upstream != "") {
+	if *restore != "" && *upstream != "" {
 		fmt.Fprintln(os.Stderr, "zsaggd: -restore needs a root: a leaf relays and has no TSDB to restore into")
 		os.Exit(2)
 	}
@@ -166,8 +163,8 @@ func main() {
 	log.Print("zsaggd: shut down")
 }
 
-// restoreDumps imports comma-separated ZSTB dump files into the server's
-// TSDB before it starts serving.
+// restoreDumps imports comma-separated ZSTB dump files into the server
+// before it starts serving.
 func restoreDumps(srv *aggd.Server, list string) error {
 	for _, path := range strings.Split(list, ",") {
 		if path = strings.TrimSpace(path); path == "" {
@@ -177,15 +174,11 @@ func restoreDumps(srv *aggd.Server, list string) error {
 		if err != nil {
 			return fmt.Errorf("restore %s: %w", path, err)
 		}
-		bs, err := tsdb.UnmarshalBlocks(data)
+		job, n, err := srv.Restore(data)
 		if err != nil {
 			return fmt.Errorf("restore %s: %w", path, err)
 		}
-		n, err := srv.TSDB().ImportBlockSet(bs)
-		if err != nil {
-			return fmt.Errorf("restore %s: %w", path, err)
-		}
-		log.Printf("zsaggd: restored %d samples of job %q from %s", n, bs.Job, path)
+		log.Printf("zsaggd: restored %d samples of job %q from %s", n, job, path)
 	}
 	return nil
 }

@@ -78,12 +78,15 @@ var (
 	batchPool   = sync.Pool{New: func() any { return new(BatchBuf) }}
 )
 
+// maxIngestBody bounds one ingest request body as it arrives on the wire.
+const maxIngestBody = 64 << 20
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ingestStart := s.cfg.Now()
 	defer func() {
 		s.obs.Record(obs.StageIngest, ingestStart, s.cfg.Now().Sub(ingestStart))
 	}()
-	var body io.Reader = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+	var body io.Reader = http.MaxBytesReader(w, r.Body, maxIngestBody)
 	if r.Header.Get("Content-Encoding") == "gzip" {
 		var zr *gzip.Reader
 		var err error

@@ -1,6 +1,7 @@
 package aggd
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -25,8 +26,6 @@ type ServerConfig struct {
 	Thresholds core.EvalThresholds
 	// Now is the wall clock (injectable for tests; default time.Now).
 	Now func() time.Time
-	// MaxBody bounds one ingest request body (default 64 MiB).
-	MaxBody int64
 	// TSDB tunes the embedded time-series store (block width, retention).
 	// The zero value takes the store's defaults. Root only: a leaf builds
 	// no store and ignores it.
@@ -225,9 +224,6 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 64 << 20
-	}
 	s := &Server{
 		cfg:      cfg,
 		obs:      obs.NewRecorder(0),
@@ -269,6 +265,27 @@ func (s *Server) Obs() *obs.Recorder { return s.obs }
 // back out of it. A daemon calls its EnforceRetention on a housekeeping
 // tick. It is nil on a leaf, which relays and stores nothing.
 func (s *Server) TSDB() *tsdb.Store { return s.store }
+
+// Restore imports a ZSTB dump (the body /api/job/{id}/tsdb serves) into a
+// root's TSDB and registers its job, so the job's /api/job/{id}/* reads
+// serve the restored samples. A dump carries no snapshots: /summary answers
+// "no snapshots yet" until the job's ranks report again. It returns the
+// job and the number of samples imported.
+func (s *Server) Restore(dump []byte) (job string, samples int, err error) {
+	if s.store == nil {
+		return "", 0, errors.New("aggd: a leaf relays and has no TSDB to restore into")
+	}
+	bs, err := tsdb.UnmarshalBlocks(dump)
+	if err != nil {
+		return "", 0, err
+	}
+	n, err := s.store.ImportBlockSet(bs)
+	if err != nil {
+		return bs.Job, n, err
+	}
+	s.job(bs.Job)
+	return bs.Job, n, nil
+}
 
 // Handler returns the HTTP API:
 //

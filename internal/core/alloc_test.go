@@ -216,43 +216,6 @@ func TestAdaptiveStretchCap(t *testing.T) {
 	}
 }
 
-// TestMonitorScanWorkersEquivalent runs the same fixture serially and with a
-// sharded scan phase; every published series and summary row must match.
-func TestMonitorScanWorkersEquivalent(t *testing.T) {
-	root, _ := writeProcTree(t, os.Getpid(), 7001, 7002, 7003)
-	run := func(workers int) Snapshot {
-		fs := &proc.RealFS{Root: root}
-		defer fs.Close()
-		now := time.Unix(0, 0)
-		clock := func() time.Time { now = now.Add(time.Second); return now }
-		m, err := New(Config{ScanWorkers: workers}, Deps{FS: fs, Clock: clock})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Finish()
-		for i := 0; i < 5; i++ {
-			if err := m.Tick(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return m.Snapshot()
-	}
-	serial, sharded := run(1), run(4)
-	if len(serial.LWPs) != len(sharded.LWPs) {
-		t.Fatalf("LWP rows: serial %d, sharded %d", len(serial.LWPs), len(sharded.LWPs))
-	}
-	for i := range serial.LWPs {
-		a, b := serial.LWPs[i], sharded.LWPs[i]
-		if a.TID != b.TID || a.UTimePct != b.UTimePct || a.STimePct != b.STimePct ||
-			a.VCtx != b.VCtx || a.NVCtx != b.NVCtx || !a.Affinity.Equal(b.Affinity) {
-			t.Errorf("LWP row %d differs: serial %+v, sharded %+v", i, a, b)
-		}
-	}
-	if serial.Samples != sharded.Samples || serial.MemPeakRSSKB != sharded.MemPeakRSSKB {
-		t.Errorf("summary differs: serial %+v vs sharded %+v", serial.Samples, sharded.Samples)
-	}
-}
-
 // TestMonitorThreadExitClosesReader checks fd-cache invalidation end to end:
 // when a thread disappears from the task listing its cached descriptors are
 // closed, and the monitor keeps sampling the remaining threads.

@@ -70,11 +70,6 @@ type Config struct {
 	// (0 disables). The paper's "automatically (re)assign threads to HWT
 	// based on detection of bad configurations" future work.
 	RebindAfter int
-	// ScanWorkers shards the per-LWP read+parse phase of each tick across a
-	// persistent worker pool (<=1 scans serially). Workers are spawned once
-	// in New and stopped by Finish; they help when a process has hundreds of
-	// threads and the sampling period is tight.
-	ScanWorkers int
 	// StallTicks marks an LWP Stalled after this many consecutive samples
 	// with no progress — no utime/stime jiffy and no context-switch delta
 	// (0 disables). The paper's §3.3 heartbeat/progress detection.
@@ -114,17 +109,11 @@ type Deps struct {
 	Rebinder Rebinder
 }
 
-// Scan outcomes for one thread in one tick (threadState.scan).
-const (
-	scanOK    = uint8(iota) // stat+status read and parsed
-	scanRead                // a read failed (thread likely exited mid-tick)
-	scanParse               // a row was present but malformed
-)
-
 // threadState is the per-LWP tracking record. Everything needed to resample
 // the thread lives here — the cached /proc descriptors, the read buffers and
-// the parse scratch — so steady-state ticks allocate nothing and scan
-// workers can process distinct threads concurrently without sharing.
+// the parse scratch, whose Comm and Name strings and affinity set are reused
+// while the thread's text does not change — so steady-state ticks allocate
+// nothing.
 type threadState struct {
 	tid        int
 	comm       string
@@ -136,9 +125,8 @@ type threadState struct {
 	reader    proc.TaskReader
 	statBuf   []byte          // raw stat text, reused across ticks
 	statusBuf []byte          // raw status text, reused across ticks
-	stat      proc.TaskStat   // parse scratch, valid when scan == scanOK
-	status    proc.TaskStatus // parse scratch, valid when scan == scanOK
-	scan      uint8           // this tick's scan outcome
+	stat      proc.TaskStat   // parse scratch, valid after a successful scan
+	status    proc.TaskStatus // parse scratch, valid after a successful scan
 	fresh     bool            // first successful sample not yet applied
 
 	firstSeen time.Time
@@ -250,9 +238,8 @@ type Monitor struct {
 	// sample below is reused across ticks so Tick allocates nothing once the
 	// thread set is stable (the paper's <0.5 % overhead contract; gated by
 	// TestMonitorTickZeroSteadyStateAlloc).
-	tidScratch []int          // Tasks listing
-	seen       map[int]bool   // tids listed this tick, clear()ed per tick
-	scanList   []*threadState // threads to scan this tick
+	tidScratch []int        // Tasks listing
+	seen       map[int]bool // tids listed this tick, clear()ed per tick
 
 	statBuf    []byte // raw /proc/stat
 	memBuf     []byte // raw /proc/meminfo
@@ -273,8 +260,6 @@ type Monitor struct {
 	gpuSample export.GPUSample
 	memSample export.MemSample
 	ioSample  export.IOSample
-
-	scan scanPool // worker pool for the per-LWP phase (Config.ScanWorkers)
 }
 
 // New creates a monitor for the process served by deps.FS. Call Tick
@@ -306,7 +291,6 @@ func New(cfg Config, deps Deps) (*Monitor, error) {
 		memMinFreeKB: ^uint64(0),
 	}
 	m.period = m.cfg.Period
-	m.scan.start(m.cfg.ScanWorkers)
 	if deps.SMI != nil {
 		n := deps.SMI.DeviceCount()
 		m.gpuAgg = make([]map[string]*MinAvgMax, n)
@@ -450,11 +434,10 @@ func (m *Monitor) publishSelfStats() {
 	m.selfStatsMu.Unlock()
 }
 
-// sampleThreads runs the per-LWP phase of a tick in three steps: list the
-// tids and make sure each has a threadState with open descriptors, scan
-// (read+parse, serial or sharded across the worker pool), then apply the
-// results and publish — the apply step stays serial so publication order and
-// counter updates are deterministic.
+// sampleThreads runs the per-LWP phase of a tick: one pass over the listed
+// tids, in ascending order, that opens each thread's descriptors when it has
+// none, reads and parses its stat+status, and applies and publishes the
+// sample; then every thread no longer listed is marked gone.
 func (m *Monitor) sampleThreads(now time.Time, t float64) error {
 	tids, err := m.bfs.TasksInto(m.pid, m.tidScratch[:0])
 	m.tidScratch = tids
@@ -462,7 +445,6 @@ func (m *Monitor) sampleThreads(now time.Time, t float64) error {
 		return fmt.Errorf("core: list tasks: %w", err)
 	}
 	clear(m.seen)
-	m.scanList = m.scanList[:0]
 	for _, tid := range tids {
 		m.seen[tid] = true
 		ts := m.threads[tid]
@@ -491,11 +473,9 @@ func (m *Monitor) sampleThreads(now time.Time, t float64) error {
 			}
 			ts.reader = rd
 		}
-		m.scanList = append(m.scanList, ts)
-	}
-	m.scan.run(m.scanList)
-	for _, ts := range m.scanList {
-		m.applyThread(ts, now, t)
+		if m.scanThread(ts) {
+			m.applyThread(ts, now, t)
+		}
 	}
 	for tid, ts := range m.threads {
 		if !m.seen[tid] && !ts.gone {
@@ -524,51 +504,49 @@ func (m *Monitor) sampleThreads(now time.Time, t float64) error {
 	return nil
 }
 
-// scanThread reads and parses one thread's stat+status into its own scratch.
-// Workers call this concurrently on distinct threadStates; it must not touch
-// any monitor-wide state.
+// scanThread reads and parses one thread's stat+status into its own scratch
+// and reports whether both succeeded; a failure counts as a skip.
 //
 //zerosum:hotpath
-func scanThread(ts *threadState) {
+func (m *Monitor) scanThread(ts *threadState) bool {
 	var err error
 	if ts.statBuf, err = ts.reader.StatInto(ts.statBuf); err != nil {
-		ts.scan = scanRead // transient thread: died between listing and read
-		return
+		return m.readSkip(ts)
 	}
 	if err = proc.ParseTaskStatInto(ts.statBuf, &ts.stat); err != nil {
-		// One malformed row (e.g. torn read of an exiting task) must not
-		// lose the whole sample; flag it and keep going.
-		ts.scan = scanParse
-		return
+		return m.parseSkip(ts)
 	}
 	if ts.statusBuf, err = ts.reader.StatusInto(ts.statusBuf); err != nil {
-		ts.scan = scanRead
-		return
+		return m.readSkip(ts)
 	}
 	if err = proc.ParseTaskStatusInto(ts.statusBuf, &ts.status); err != nil {
-		ts.scan = scanParse
-		return
+		return m.parseSkip(ts)
 	}
-	ts.scan = scanOK
+	return true
+}
+
+// readSkip counts a thread that died between listing and read. Its cached
+// descriptors are dead (procfs returns ESRCH once the thread exits); drop
+// them so a relisted tid reopens fresh ones.
+func (m *Monitor) readSkip(ts *threadState) bool {
+	m.lwpReadSkips++
+	ts.closeReader()
+	return false
+}
+
+// parseSkip counts a malformed row (e.g. a torn read of an exiting task),
+// which loses only this thread's sample.
+func (m *Monitor) parseSkip(ts *threadState) bool {
+	m.lwpParseSkips++
+	if ts.fresh {
+		ts.closeReader() // unregistered: the state is dropped entirely
+	}
+	return false
 }
 
 // applyThread folds one scanned thread into the monitor state and publishes
-// its sample. Serial.
+// its sample.
 func (m *Monitor) applyThread(ts *threadState, now time.Time, t float64) {
-	switch ts.scan {
-	case scanRead:
-		m.lwpReadSkips++
-		// The cached descriptors are dead (procfs returns ESRCH once the
-		// thread exits); drop them so a relisted tid reopens fresh ones.
-		ts.closeReader()
-		return
-	case scanParse:
-		m.lwpParseSkips++
-		if ts.fresh {
-			ts.closeReader() // unregistered: the state is dropped entirely
-		}
-		return
-	}
 	st, status := &ts.stat, &ts.status
 	if ts.fresh {
 		ts.fresh = false
@@ -958,13 +936,12 @@ func (m *Monitor) publish(ev export.Event) {
 	}
 }
 
-// Finish freezes the monitor; further Ticks fail. It stops the scan worker
-// pool and releases every cached /proc descriptor.
+// Finish freezes the monitor; further Ticks fail. It releases every cached
+// /proc descriptor.
 func (m *Monitor) Finish() {
 	if !m.done {
 		m.done = true
 		m.finished = m.deps.Clock()
-		m.scan.stop()
 		for _, ts := range m.threads {
 			ts.closeReader()
 		}

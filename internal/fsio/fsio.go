@@ -36,19 +36,10 @@ func DefaultParams() Params {
 // ErrQuota is returned (wrapped) when a write would exceed the quota.
 var ErrQuota = fmt.Errorf("fsio: filesystem quota exhausted")
 
-// Injector lets a fault harness perturb filesystem operations: it is
-// consulted once per Read/Write with the operation and size, and returns
-// extra latency to add to the transfer plus an error that, when non-nil,
-// fails the operation before any bandwidth or quota is consumed. A nil
-// Injector injects nothing.
-type Injector func(op string, bytes uint64) (extra sim.Time, err error)
-
 // FileSystem is one shared filesystem instance.
 type FileSystem struct {
 	P     Params
 	clock func() sim.Time
-
-	inject Injector
 
 	busyUntil sim.Time
 	usedBytes uint64
@@ -57,20 +48,6 @@ type FileSystem struct {
 	totalWritten uint64
 	readOps      uint64
 	writeOps     uint64
-
-	injectedErrs  uint64
-	injectedDelay sim.Time
-}
-
-// SetInjector installs (or, with nil, removes) the fault injector. Like the
-// rest of the filesystem it must only be called from the single-threaded
-// simulation loop.
-func (f *FileSystem) SetInjector(in Injector) { f.inject = in }
-
-// InjectedFaults reports how many operations the injector failed and the
-// total extra latency it added, so a chaos run can audit exact accounting.
-func (f *FileSystem) InjectedFaults() (errs uint64, delay sim.Time) {
-	return f.injectedErrs, f.injectedDelay
 }
 
 // New creates a filesystem on the given clock.
@@ -100,10 +77,6 @@ func (f *FileSystem) transfer(bytes uint64) sim.Time {
 // calling task should sleep until then. The process's /proc/<pid>/io
 // counters advance immediately (the syscall is issued now).
 func (f *FileSystem) Write(p *sched.Process, bytes uint64) (sim.Time, error) {
-	extra, err := f.consultInjector("write", bytes)
-	if err != nil {
-		return 0, err
-	}
 	if f.P.QuotaBytes > 0 && f.usedBytes+bytes > f.P.QuotaBytes {
 		return 0, fmt.Errorf("%w: used %d + %d > %d", ErrQuota, f.usedBytes, bytes, f.P.QuotaBytes)
 	}
@@ -113,50 +86,17 @@ func (f *FileSystem) Write(p *sched.Process, bytes uint64) (sim.Time, error) {
 	if p != nil {
 		p.AddIO(false, bytes)
 	}
-	return f.transferExtra(bytes, extra), nil
+	return f.transfer(bytes), nil
 }
 
 // Read issues a read on behalf of p.
 func (f *FileSystem) Read(p *sched.Process, bytes uint64) (sim.Time, error) {
-	extra, err := f.consultInjector("read", bytes)
-	if err != nil {
-		return 0, err
-	}
 	f.totalRead += bytes
 	f.readOps++
 	if p != nil {
 		p.AddIO(true, bytes)
 	}
-	return f.transferExtra(bytes, extra), nil
-}
-
-// consultInjector runs the fault hook, recording what it injected.
-func (f *FileSystem) consultInjector(op string, bytes uint64) (sim.Time, error) {
-	if f.inject == nil {
-		return 0, nil
-	}
-	extra, err := f.inject(op, bytes)
-	if err != nil {
-		f.injectedErrs++
-		return 0, err
-	}
-	if extra < 0 {
-		extra = 0
-	}
-	f.injectedDelay += extra
-	return extra, nil
-}
-
-// transferExtra queues an operation whose service time is stretched by the
-// injected latency; the delay occupies the server (it models a stalled OST,
-// not a client-side pause), so queued operations behind it wait too.
-func (f *FileSystem) transferExtra(bytes uint64, extra sim.Time) sim.Time {
-	done := f.transfer(bytes)
-	if extra > 0 {
-		f.busyUntil = done + extra
-		done = f.busyUntil
-	}
-	return done
+	return f.transfer(bytes), nil
 }
 
 // Remove frees quota (file deletion).

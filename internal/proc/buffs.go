@@ -10,8 +10,7 @@ package proc
 // FS via the allocating read path.
 //
 // BufFS methods share cached state and must be called from one goroutine at
-// a time; distinct TaskReaders are independent and may be used concurrently
-// with each other (the monitor's scan workers rely on this).
+// a time.
 type BufFS interface {
 	FS
 	// TasksInto appends the live LWP ids of pid to tids in ascending order

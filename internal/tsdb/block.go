@@ -92,7 +92,9 @@ func (st *Store) MarshalJob(job string) ([]byte, error) {
 
 // snapshotBlocks captures the job's chunk inventory as a BlockSet under the
 // shard locks. Sealed chunk data is immutable and shared; head bitstreams
-// are cloned while locked because appends keep mutating them.
+// are cloned while locked because appends keep mutating them. Each shard's
+// chunk records and head clones are counted first and then filled into one
+// exact-size slice each, which the shard's series share.
 func (st *Store) snapshotBlocks(job string) (*BlockSet, error) {
 	db := st.lookupJob(job)
 	if db == nil {
@@ -101,18 +103,31 @@ func (st *Store) snapshotBlocks(job string) (*BlockSet, error) {
 	bs := &BlockSet{Job: job}
 	//zerosum:locked seriesShard.mu eachShard holds the shard lock around fn
 	db.eachShard(func(sh *seriesShard) {
+		nChunks, headBytes := 0, 0
+		for _, s := range sh.series {
+			nChunks += len(s.sealed)
+			if s.head.count > 0 {
+				nChunks++
+				headBytes += len(s.head.w.buf)
+			}
+		}
+		chunks := make([]BlockChunk, 0, nChunks)
+		heads := make([]byte, 0, headBytes)
+		bs.Series = slices.Grow(bs.Series, len(sh.series))
 		for key, s := range sh.series {
-			fs := BlockSeries{Key: key}
+			first := len(chunks)
 			for _, c := range s.sealed {
-				fs.Chunks = append(fs.Chunks, BlockChunk{Part: c.part, TMin: c.tMin, TMax: c.tMax,
+				chunks = append(chunks, BlockChunk{Part: c.part, TMin: c.tMin, TMax: c.tMax,
 					Count: c.count, Data: c.data})
 			}
 			if h := &s.head; h.count > 0 {
-				fs.Chunks = append(fs.Chunks, BlockChunk{Part: h.part, TMin: h.tMin, TMax: h.tMax,
-					Count: h.count, Data: append([]byte(nil), h.w.buf...)})
+				at := len(heads)
+				heads = append(heads, h.w.buf...)
+				chunks = append(chunks, BlockChunk{Part: h.part, TMin: h.tMin, TMax: h.tMax,
+					Count: h.count, Data: heads[at:len(heads):len(heads)]})
 			}
-			if len(fs.Chunks) > 0 {
-				bs.Series = append(bs.Series, fs)
+			if len(chunks) > first {
+				bs.Series = append(bs.Series, BlockSeries{Key: key, Chunks: chunks[first:len(chunks):len(chunks)]})
 			}
 		}
 	})
@@ -133,7 +148,21 @@ func (st *Store) snapshotBlocks(job string) (*BlockSet, error) {
 //
 //zerosum:wire-encode tsdb-block
 func marshalBlockSet(bs *BlockSet) ([]byte, error) {
-	buf := append([]byte(blockMagic), blockVersion)
+	// Size the blob before encoding: the fixed fields and every string and
+	// bitstream length are known, so the buffer is allocated once.
+	size := len(blockMagic) + 1 + 2 + len(bs.Job) + 4
+	for i := range bs.Series {
+		fs := &bs.Series[i]
+		size += 2 + len(fs.Key.Node) + 2 + len(fs.Key.Metric) + 4 + 4 + 4
+		for _, fc := range fs.Chunks {
+			size += 8 + 8 + 8 + 4 + 4 + len(fc.Data)
+		}
+	}
+	if size > MaxBlockEncoded {
+		return nil, fmt.Errorf("tsdb: encoded job %q is %d bytes (max %d)", bs.Job, size, MaxBlockEncoded)
+	}
+	buf := append(make([]byte, 0, size+4), blockMagic...)
+	buf = append(buf, blockVersion)
 	var err error
 	if buf, err = appendBlockString(buf, bs.Job); err != nil {
 		return nil, err
@@ -158,9 +187,6 @@ func marshalBlockSet(bs *BlockSet) ([]byte, error) {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fc.Data)))
 			buf = append(buf, fc.Data...)
 		}
-	}
-	if len(buf) > MaxBlockEncoded {
-		return nil, fmt.Errorf("tsdb: encoded job %q is %d bytes (max %d)", bs.Job, len(buf), MaxBlockEncoded)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[len(blockMagic):], blockCRC)), nil
 }
